@@ -1,0 +1,10 @@
+"""Make ``perfbench`` and the program it measures importable when the
+self-tests run as ``python -m pytest perfbench/tests -q`` from the root."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for entry in (str(ROOT / "src"), str(ROOT)):
+    if entry not in sys.path:
+        sys.path.insert(0, entry)
