@@ -38,17 +38,24 @@ pure-object oracle).  Every vectorized path computes the same integers
 and IEEE-754 doubles in the same order as the object walk it replaces,
 so diagnosis output is bit-identical across backends — pinned by the
 property tests in ``tests/core/test_columnar.py``.  The object model
-stays authoritative: columns are derived data, rebuilt whenever an
-:class:`~repro.ingest.incremental.IncrementalTrace` grew since the last
-build (mutation-counter invalidation).
+stays authoritative: columns are derived data, and a fresh snapshot is
+built whenever the trace changed since the last one (mutation-counter
+invalidation).  :meth:`TraceColumns.from_trace` flattens the whole trace
+— the offline constructor and the oracle; a growing
+:class:`~repro.ingest.incremental.IncrementalTrace`, which says which
+packets each mutation touched, gets :meth:`TraceColumns.advanced`
+instead: the previous snapshot minus evicted rows, plus only the rows
+that changed.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import struct
 import weakref
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.records import DiagTrace, NFView, PacketHop, PacketView
@@ -127,6 +134,131 @@ def _times_pids(stream: Sequence[Tuple[int, int]]):
     return times, pids
 
 
+class _CodeTable(dict):
+    """Name -> code.  A name outside the table (hand-built traces may hop
+    through unknown NFs) gets the next code on first lookup."""
+
+    def __init__(self, names: List[str]) -> None:
+        super().__init__((name, code) for code, name in enumerate(names))
+        self.names = names
+
+    def __missing__(self, name: str) -> int:
+        code = self[name] = len(self.names)
+        self.names.append(name)
+        return code
+
+
+_FLOW_FIELDS = attrgetter(
+    "flow.src_ip", "flow.dst_ip", "flow.src_port", "flow.dst_port", "flow.proto"
+)
+
+
+def _flatten(packets: Sequence[PacketView], nf_code: _CodeTable,
+             source_code: _CodeTable):
+    """``(packet columns, hops per packet, hop columns)`` of ``packets``,
+    the columns by constructor name — the one flatten routine behind both
+    the full and the incremental build.  Every column is one ``fromiter``
+    pass; the getters run at C level where they can."""
+    n = len(packets)
+
+    def per_packet(field: str):
+        return np.fromiter(map(attrgetter(field), packets), np.int64, count=n)
+
+    pkt = {
+        "pkt_pid": per_packet("pid"),
+        "pkt_emitted": per_packet("emitted_ns"),
+        "pkt_exited": per_packet("exited_ns"),
+        "pkt_dropped_ns": per_packet("dropped_ns"),
+        "pkt_dropped_nf": np.fromiter(
+            (-1 if p.dropped_at is None else nf_code[p.dropped_at] for p in packets),
+            np.int32,
+            count=n,
+        ),
+        "pkt_source": np.fromiter(
+            map(source_code.__getitem__, map(attrgetter("source"), packets)),
+            np.int32,
+            count=n,
+        ),
+        "pkt_flow": np.fromiter(
+            itertools.chain.from_iterable(map(_FLOW_FIELDS, packets)),
+            np.int64,
+            count=5 * n,
+        ).reshape(n, 5),
+    }
+    hop_counts = np.fromiter(
+        map(len, map(attrgetter("hops"), packets)), np.int64, count=n
+    )
+    total = int(hop_counts.sum())
+
+    def per_hop(field: str):
+        hops = itertools.chain.from_iterable(map(attrgetter("hops"), packets))
+        return map(attrgetter(field), hops)
+
+    hop = {
+        "hop_nf": np.fromiter(
+            map(nf_code.__getitem__, per_hop("nf")), np.int32, count=total
+        ),
+        "hop_arrival": np.fromiter(per_hop("arrival_ns"), np.int64, count=total),
+        "hop_read": np.fromiter(per_hop("read_ns"), np.int64, count=total),
+        "hop_depart": np.fromiter(per_hop("depart_ns"), np.int64, count=total),
+    }
+    return pkt, hop_counts, hop
+
+
+def _hop_starts(hop_counts):
+    """CSR offsets (length n+1) from per-packet hop counts."""
+    hop_start = np.zeros(len(hop_counts) + 1, dtype=np.int64)
+    np.cumsum(hop_counts, out=hop_start[1:])
+    return hop_start
+
+
+def _derive_streams(n_nf: int, pkt, hop_start, hop) -> List[NFColumns]:
+    """Per-NF sorted event streams computed from the packet/hop tables.
+
+    Equals ``fromiter`` over an ``NFView``'s ``(t, pid)``-sorted lists
+    whenever those lists hold exactly one entry per hop (arrival, read,
+    depart) and per drop of the tabled packets: sorting the same pairs by
+    ``(nf, t, pid)`` lands them in the same order, ties being identical.
+    """
+    pkt_pid = pkt["pkt_pid"]
+    dropped = np.flatnonzero(pkt["pkt_dropped_nf"] >= 0)
+    drops = _sorted_by_nf(
+        n_nf, pkt["pkt_dropped_nf"][dropped], pkt_pid[dropped],
+        [pkt["pkt_dropped_ns"][dropped]],
+    )
+    hops = _sorted_by_nf(
+        n_nf, hop["hop_nf"], np.repeat(pkt_pid, np.diff(hop_start)),
+        [hop["hop_arrival"], hop["hop_read"], hop["hop_depart"]],
+    )
+    return [
+        NFColumns(*(column for pair in nf_hops for column in pair), *nf_drops[0])
+        for nf_hops, nf_drops in zip(hops, drops)
+    ]
+
+
+def _sorted_by_nf(n_nf: int, nf, pid, time_columns):
+    """Per NF code, ``(times, pids)`` sorted by ``(t, pid)`` for each of
+    ``time_columns`` (events ``i`` happened at NF ``nf[i]`` to ``pid[i]``)."""
+    # Put the events in pid order once; the stable sorts below then break
+    # (nf, t) ties by pid without a third key per column.
+    by_pid = np.argsort(pid, kind="stable")
+    pid = pid[by_pid]
+    # 16-bit keys sort by radix, and NF codes are small.
+    nf = nf[by_pid].astype(np.int16 if n_nf <= 0x7FFF else np.int32)
+    bounds = np.zeros(n_nf + 1, dtype=np.int64)
+    np.cumsum(np.bincount(nf, minlength=n_nf), out=bounds[1:])
+    bounds = bounds.tolist()
+    per_nf = [[] for _ in range(n_nf)]
+    for times in time_columns:
+        times = times[by_pid]
+        order = np.lexsort((times, nf))
+        times, pids = times[order], pid[order]
+        for code, pairs in enumerate(per_nf):
+            lo, hi = bounds[code], bounds[code + 1]
+            pairs.append((times[lo:hi], pids[lo:hi]))
+    return per_nf
+
+
 class TraceColumns:
     """Columnar arrays for one trace; see the module docstring for layout."""
 
@@ -159,8 +291,8 @@ class TraceColumns:
         self.hop_depart = hop_depart
         self.streams = streams
         # pid -> row lookup (pids may arrive out of order in live ingest).
-        self._pid_sorted = np.sort(pkt_pid)
         self._pid_order = np.argsort(pkt_pid, kind="stable")
+        self._pid_sorted = pkt_pid[self._pid_order]
         self._first_pos: Dict[int, object] = {}
         # Lexicographic (value, pid) pairs are packed into one int64 for
         # vectorized prefix mins; fall back to object tuples when the
@@ -176,76 +308,12 @@ class TraceColumns:
     def from_trace(cls, trace: DiagTrace) -> "TraceColumns":
         """Build columns from the object model (no per-hop objects allocated;
         every column is filled by a C-level ``fromiter`` pass)."""
-        nf_names = sorted(trace.nfs)
-        nf_code = {name: i for i, name in enumerate(nf_names)}
-        source_names = sorted(trace.sources)
-        source_code = {name: i for i, name in enumerate(source_names)}
-
-        def ncode(name: str) -> int:
-            code = nf_code.get(name)
-            if code is None:  # hand-built traces may hop through unknown NFs
-                code = len(nf_names)
-                nf_code[name] = code
-                nf_names.append(name)
-            return code
-
-        def scode(name: str) -> int:
-            code = source_code.get(name)
-            if code is None:
-                code = len(source_names)
-                source_code[name] = code
-                source_names.append(name)
-            return code
-
-        packets = trace.packets
-        n = len(packets)
-        pkt_pid = np.fromiter((p.pid for p in packets.values()), np.int64, count=n)
-        pkt_emitted = np.fromiter(
-            (p.emitted_ns for p in packets.values()), np.int64, count=n
+        nf_code = _CodeTable(sorted(trace.nfs))
+        source_code = _CodeTable(sorted(trace.sources))
+        pkt, hop_counts, hop = _flatten(
+            list(trace.packets.values()), nf_code, source_code
         )
-        pkt_exited = np.fromiter(
-            (p.exited_ns for p in packets.values()), np.int64, count=n
-        )
-        pkt_dropped_ns = np.fromiter(
-            (p.dropped_ns for p in packets.values()), np.int64, count=n
-        )
-        pkt_dropped_nf = np.fromiter(
-            (
-                -1 if p.dropped_at is None else ncode(p.dropped_at)
-                for p in packets.values()
-            ),
-            np.int32,
-            count=n,
-        )
-        pkt_source = np.fromiter(
-            (scode(p.source) for p in packets.values()), np.int32, count=n
-        )
-        pkt_flow = np.fromiter(
-            (
-                value
-                for p in packets.values()
-                for value in (
-                    p.flow.src_ip, p.flow.dst_ip,
-                    p.flow.src_port, p.flow.dst_port, p.flow.proto,
-                )
-            ),
-            np.int64,
-            count=5 * n,
-        ).reshape(n, 5)
-        hop_start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(
-            np.fromiter((len(p.hops) for p in packets.values()), np.int64, count=n),
-            out=hop_start[1:],
-        )
-        total = int(hop_start[-1])
-        hops = (hop for p in packets.values() for hop in p.hops)
-        hop_nf = np.fromiter((ncode(h.nf) for h in hops), np.int32, count=total)
-        hops = (hop for p in packets.values() for hop in p.hops)
-        hop_arrival = np.fromiter((h.arrival_ns for h in hops), np.int64, count=total)
-        hops = (hop for p in packets.values() for hop in p.hops)
-        hop_read = np.fromiter((h.read_ns for h in hops), np.int64, count=total)
-        hops = (hop for p in packets.values() for hop in p.hops)
-        hop_depart = np.fromiter((h.depart_ns for h in hops), np.int64, count=total)
+        nf_names = nf_code.names
 
         streams: List[NFColumns] = []
         peak_rates: List[float] = []
@@ -270,12 +338,113 @@ class TraceColumns:
                 )
             )
         return cls(
-            nf_names, source_names, peak_rates,
-            pkt_pid, pkt_emitted, pkt_exited, pkt_dropped_ns, pkt_dropped_nf,
-            pkt_source, pkt_flow, hop_start,
-            hop_nf, hop_arrival, hop_read, hop_depart,
-            streams,
+            nf_names, source_code.names, peak_rates,
+            **pkt, hop_start=_hop_starts(hop_counts), **hop, streams=streams,
         )
+
+    @classmethod
+    def advanced(
+        cls,
+        previous: "TraceColumns",
+        trace: DiagTrace,
+        touched: Set[int],
+        evicted: Set[int],
+    ) -> Optional[Tuple["TraceColumns", int]]:
+        """``(columns of trace, packet rows reused)`` grown from ``previous``.
+
+        ``previous`` is the snapshot of an earlier state of ``trace``;
+        since then the packets in ``evicted`` were deleted from
+        ``trace.packets``, new ones were inserted at its end, and only the
+        packets in ``touched`` changed otherwise.  Evicted rows are masked
+        out, the longest untouched row prefix is carried over, and only
+        the rows behind it are flattened again (by the same passes
+        ``from_trace`` runs).  The per-NF event streams are re-derived
+        from the hop and packet tables — exact when every hop and drop of
+        a retained packet has exactly one entry in its NF's lists and the
+        lists hold nothing else, as an ``IncrementalTrace`` guarantees.
+
+        Returns None when that cannot be shown cheaply (a name table
+        moved, the row counts or any list length disagree); the caller
+        then falls back to :meth:`from_trace`, which is always right.
+        """
+        nf_names = sorted(trace.nfs)
+        if previous.nf_names != nf_names or previous.source_names != sorted(
+            trace.sources
+        ):
+            return None
+        keep = None
+        if evicted:
+            gone = previous.rows_for_pids(list(evicted))
+            gone = gone[gone >= 0]
+            if len(gone):
+                keep = np.ones(previous.n_packets, dtype=bool)
+                keep[gone] = False
+        head = previous.n_packets  # rows [0, head) of ``previous`` may be reused
+        if touched:
+            rows = previous.rows_for_pids(list(touched))
+            rows = rows[rows >= 0]
+            if keep is not None:
+                rows = rows[keep[rows]]
+            if len(rows):
+                head = int(rows.min())
+        if keep is not None:
+            keep = keep[:head]
+            if keep.all():
+                keep = None
+        reused = head if keep is None else int(np.count_nonzero(keep))
+        if len(trace.packets) < reused:
+            return None
+        nf_code = _CodeTable(list(nf_names))
+        source_code = _CodeTable(list(previous.source_names))
+        pkt, hop_counts, hop = _flatten(
+            list(itertools.islice(trace.packets.values(), reused, None)),
+            nf_code, source_code,
+        )
+        if len(nf_code.names) != len(previous.nf_names) or len(
+            source_code.names
+        ) != len(previous.source_names):
+            return None  # a hand-placed hop or source outside the topology
+        # Selectors of the reused rows / their hops inside ``previous``.
+        old_counts = np.diff(previous.hop_start[: head + 1])
+        if keep is None:
+            rows_kept = slice(head)
+            hops_kept = slice(int(previous.hop_start[head]))
+        else:
+            rows_kept = np.flatnonzero(keep)
+            hops_kept = np.flatnonzero(np.repeat(keep, old_counts))
+            old_counts = old_counts[rows_kept]
+        pkt = {
+            name: np.concatenate((getattr(previous, name)[rows_kept], fresh))
+            for name, fresh in pkt.items()
+        }
+        hop = {
+            name: np.concatenate((getattr(previous, name)[hops_kept], fresh))
+            for name, fresh in hop.items()
+        }
+        hop_start = _hop_starts(np.concatenate((old_counts, hop_counts)))
+        streams = _derive_streams(len(nf_names), pkt, hop_start, hop)
+        views = [trace.nfs[name] for name in nf_names]
+        for view, stream in zip(views, streams):
+            if (
+                len(view.arrivals) != len(stream.arr_t)
+                or len(view.reads) != len(stream.read_t)
+                or len(view.departs) != len(stream.dep_t)
+                or len(view.drops) != len(stream.drop_t)
+            ):
+                return None
+        for view, stream in zip(views, streams):
+            # What ``from_trace`` leaves behind through ``arrival_times()``
+            # and friends: the queuing analyzer reads these caches.
+            view._arrival_times = stream.arr_t
+            view._arrival_pids = stream.arr_pid
+            view._read_times = stream.read_t
+            view._read_pids = stream.read_pid
+        columns = cls(
+            nf_names, previous.source_names,
+            [view.peak_rate_pps for view in views],
+            **pkt, hop_start=hop_start, **hop, streams=streams,
+        )
+        return columns, reused
 
     # -- shape ----------------------------------------------------------------
 

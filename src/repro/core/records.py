@@ -244,6 +244,20 @@ class NFView:
         raise TraceError(f"packet {pid} has no arrival at {self.name} t={t_ns}")
 
 
+class _ColumnsDelta:
+    """Mutations of a trace since its cached columns were built."""
+
+    __slots__ = ("touched", "evicted", "attributed")
+
+    def __init__(self) -> None:
+        #: Pids whose packet is new or changed.
+        self.touched: Set[int] = set()
+        #: Pids deleted from ``packets``.
+        self.evicted: Set[int] = set()
+        #: How many ``_mutations`` bumps the two sets account for.
+        self.attributed = 0
+
+
 class DiagTrace:
     """Everything the offline diagnosis consumes.
 
@@ -282,35 +296,89 @@ class DiagTrace:
 
     # -- columnar backend ----------------------------------------------------
 
-    def _mark_mutated(self) -> None:
-        """Record an in-place mutation so cached columns rebuild."""
+    #: What changed since the cached columns were built, or None when
+    #: that is unknown — no build yet, a bare ``_mark_mutated()``, a
+    #: restore, an unpickle — and unknown always means a full
+    #: ``from_trace`` rebuild.  Class-level default so traces built
+    #: without ``__init__`` start unknown too.
+    _delta: Optional[_ColumnsDelta] = None
+    #: Packet rows the column builds carried over from the previous
+    #: snapshot vs flattened from the object model (cumulative; in-memory
+    #: diagnostics only — never journalled, checkpointed or pickled).
+    columns_rows_reused = 0
+    columns_rows_flattened = 0
+
+    def _mark_mutated(self, pid: Optional[int] = None) -> None:
+        """Record an in-place mutation so cached columns rebuild.
+
+        With ``pid`` the next build re-flattens only from that packet's
+        row on; without it the next build starts over.
+        """
         self._mutations += 1
+        delta = self._delta
+        if pid is None:
+            self._delta = None
+        elif delta is not None:
+            delta.touched.add(pid)
+            delta.attributed += 1
+
+    def _mark_evicted(self, pids: Set[int]) -> None:
+        """Record that ``pids`` left ``packets`` (rows to mask, not rebuild)."""
+        self._mutations += 1
+        delta = self._delta
+        if delta is not None:
+            delta.evicted.update(pids)
+            delta.attributed += 1
 
     def columns(self):
         """This trace's :class:`~repro.core.columnar.TraceColumns`, or None.
 
         Returns None when ``REPRO_TRACE_BACKEND=python`` or numpy is
         missing — callers fall back to the object walk (the oracle path).
-        The build is cached and rebuilt only after mutations.
+        The build is cached; after mutations a fresh snapshot is built,
+        incrementally from the previous one when every mutation since was
+        attributed to a pid (see ``TraceColumns.advanced``).
         """
         from repro.core import columnar
 
         if not columnar.columnar_enabled():
+            self._delta = None  # nobody will drain it: stop tracking
             return None
         if (
             self._columns_cache is None
             or self._columns_built_at != self._mutations
         ):
-            self._columns_cache = columnar.TraceColumns.from_trace(self)
+            previous, delta = self._columns_cache, self._delta
+            advanced = None
+            if (
+                previous is not None
+                and delta is not None
+                # Else a direct ``_mutations`` bump went past the tracker.
+                and self._columns_built_at + delta.attributed == self._mutations
+            ):
+                advanced = columnar.TraceColumns.advanced(
+                    previous, self, delta.touched, delta.evicted
+                )
+            if advanced is None:
+                cols, reused = columnar.TraceColumns.from_trace(self), 0
+            else:
+                cols, reused = advanced
+            self.columns_rows_reused += reused
+            self.columns_rows_flattened += cols.n_packets - reused
+            self._columns_cache = cols
             self._columns_built_at = self._mutations
+            self._delta = _ColumnsDelta()
         return self._columns_cache
 
     def __getstate__(self):
-        # Columns are derived data; keep legacy pickles (the non-shm
-        # parallel fallback) from shipping them twice.
+        # Columns and the incremental bookkeeping are derived data; keep
+        # pickles and deep copies (the non-shm parallel fallback, test
+        # twins) from shipping them — a copy starts from a full build.
         state = self.__dict__.copy()
         state["_columns_cache"] = None
         state["_columns_built_at"] = -1
+        for key in ("_delta", "columns_rows_reused", "columns_rows_flattened"):
+            state.pop(key, None)
         return state
 
     # -- constructors --------------------------------------------------------

@@ -637,7 +637,7 @@ class IncrementalTrace(DiagTrace):
                 source=stream,
                 emitted_ns=record.time_ns,
             )
-            self._mark_mutated()  # cached columns must rebuild
+            self._mark_mutated(record.pid)  # its column rows must rebuild
             return True
         view = self.nfs.get(stream)
         if view is None:
@@ -689,7 +689,7 @@ class IncrementalTrace(DiagTrace):
             _insert_sorted(view.drops, (record.time_ns, record.pid))
         else:  # exit
             packet.exited_ns = record.time_ns
-        self._mark_mutated()  # cached columns must rebuild
+        self._mark_mutated(record.pid)  # its column rows must rebuild
         return True
 
     def ingest(self, feed: TelemetryFeed) -> int:
@@ -824,6 +824,11 @@ class IncrementalTrace(DiagTrace):
             return result
         evicted: Set[int] = set()
         for pid, packet in self.packets.items():
+            # ``last`` below is at least ``emitted_ns``.  (No early exit:
+            # a clock-fault transient can put a late emit before an early
+            # one in dict order.)
+            if packet.emitted_ns >= cut:
+                continue
             if packet.exited_ns < 0 and packet.dropped_at is None:
                 continue  # still in flight: future records may attach
             last = max(
@@ -838,13 +843,16 @@ class IncrementalTrace(DiagTrace):
             del self.packets[pid]
         if evicted:
             for view in self.nfs.values():
-                view.arrivals[:] = [
-                    e for e in view.arrivals if e[1] not in evicted
-                ]
-                view.reads[:] = [e for e in view.reads if e[1] not in evicted]
-                view.departs[:] = [
-                    e for e in view.departs if e[1] not in evicted
-                ]
+                # Every hop event of an evicted packet lies below ``cut``
+                # (arrival <= read <= depart <= last), so only that prefix
+                # of the time-sorted lists can hold one.
+                for stream in (view.arrivals, view.reads, view.departs):
+                    below = bisect.bisect_left(stream, (cut, -1))
+                    stream[:below] = [
+                        e for e in stream[:below] if e[1] not in evicted
+                    ]
+                # A packet dropped twice keeps its first drop entry, which
+                # ``last`` cannot see: the (short) drop lists go in full.
                 view.drops[:] = [e for e in view.drops if e[1] not in evicted]
                 # Length-based cache invalidation can miss an equal-length
                 # rewrite; reset explicitly.
@@ -862,7 +870,7 @@ class IncrementalTrace(DiagTrace):
             self.health.gaps[:] = kept_gaps
             self.gaps_evicted += result["gaps"]
         if evicted or result["gaps"]:
-            self._mark_mutated()
+            self._mark_evicted(evicted)
         # Seal-cut health snapshots for chunks behind the cut can never
         # be diagnosed again (the cut trails the replay-retain boundary).
         for index in [k for k in self._chunk_health if k < cut // self.config.chunk_ns]:
