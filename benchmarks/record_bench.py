@@ -272,18 +272,12 @@ def bench_streaming(repeats: int, trace) -> dict:
 
 
 def bench_columnar(repeats: int, trace, threshold_ns: int = 50_000) -> dict:
-    """Columnar-core throughput and shm-dispatch scaling (ISSUE 6).
+    """Columnar-core throughput (ISSUE 6).
 
     End-to-end means everything a cold diagnosis pass pays: building the
     columnar twin from the object trace, selecting threshold victims from
     the columns, and serially diagnosing all of them.  Throughput is
     reported in packet-hops/sec over that wall time.
-
-    The scaling curve times ``diagnose_all`` at 1/2/4/8 workers on the
-    same (>= 1k) victim population and records the per-task dispatch
-    payload of the shared-memory path.  Speedups are whatever this
-    machine delivers — ``cpus`` is recorded next to them, since a
-    single-core container cannot show parallel gains.
     """
     cols = trace.columns()
     if cols is None:
@@ -343,29 +337,6 @@ def bench_columnar(repeats: int, trace, threshold_ns: int = 50_000) -> dict:
     if canonical_bytes(oracle_diags) != reference:
         raise SystemExit("FATAL: columnar backend differs from python oracle")
 
-    scaling = {}
-    serial_1w_s = None
-    for workers in (1, 2, 4, 8):
-        engine = MicroscopeEngine(trace)
-        wall_s, diags = timed(
-            lambda e=engine, w=workers: e.diagnose_all(victims, workers=w),
-            max(1, repeats - 2),
-        )
-        if canonical_bytes(diags) != reference:
-            raise SystemExit(
-                f"FATAL: parallel output differs at {workers} workers"
-            )
-        if workers == 1:
-            serial_1w_s = wall_s
-        entry = {"wall_s": round(wall_s, 6)}
-        if workers > 1:
-            entry["speedup_vs_1w"] = round(serial_1w_s / wall_s, 2)
-            entry["dispatch_mode"] = engine.last_dispatch["mode"]
-            entry["payload_bytes_per_task"] = engine.last_dispatch[
-                "payload_bytes_per_task"
-            ]
-        scaling[f"{workers}w"] = entry
-
     return {
         "workload": "interrupt chain 20ms, columnar end-to-end",
         "threshold_ns": threshold_ns,
@@ -384,7 +355,6 @@ def bench_columnar(repeats: int, trace, threshold_ns: int = 50_000) -> dict:
             "columnar_speedup": round(oracle_s / end_to_end_s, 2),
             "output_identical": True,
         },
-        "worker_scaling": scaling,
         "cpus": os.cpu_count(),
     }
 
@@ -400,16 +370,11 @@ def bench_fleet(repeats: int, trace) -> dict:
     speedup (the GIL serializes the pipeline threads and the pool's
     workers share the single core).  Byte-identity of every pipeline
     journal with a standalone PR-6 service run is asserted, not assumed.
-
-    The warm-vs-cold comparison isolates the dispatch overhead the pool
-    amortizes: ``diagnose_all`` on an already-warm pool (trace segment
-    registered, workers attached and engine-cached) against the
-    spawn-per-call path (fork + share + attach every call).
     """
     import shutil
     import tempfile
 
-    from repro.fleet import FleetConfig, FleetSupervisor, PipelineSpec, WorkerPool
+    from repro.fleet import FleetConfig, FleetSupervisor, PipelineSpec
     from repro.service import DiagnosisService, ServiceConfig
 
     cols = trace.columns()
@@ -473,27 +438,6 @@ def bench_fleet(repeats: int, trace) -> dict:
             "scheduler": report.scheduler_stats,
         }
 
-    # Dispatch overhead: warm pool vs spawn-per-call on one chunk's worth
-    # of victims.
-    victims = VictimSelector(trace).hop_latency_victims(pct=99.9)
-    serial_ref = canonical_bytes(MicroscopeEngine(trace).diagnose_all(victims))
-    with WorkerPool(2) as pool:
-        engine = MicroscopeEngine(trace)
-        engine.diagnose_all(victims, workers=2, executor=pool)  # warm up
-        warm_s, warm_diags = timed(
-            lambda: engine.diagnose_all(victims, workers=2, executor=pool),
-            repeats,
-        )
-        reuses = pool.stats.trace_reuses
-    spawn_s, spawn_diags = timed(
-        lambda: MicroscopeEngine(trace).diagnose_all(victims, workers=2),
-        reps,
-    )
-    if canonical_bytes(warm_diags) != serial_ref:
-        raise SystemExit("FATAL: warm-pool output differs from serial")
-    if canonical_bytes(spawn_diags) != serial_ref:
-        raise SystemExit("FATAL: spawn-per-call output differs from serial")
-
     return {
         "workload": "periodic-interrupt chain 60ms per pipeline",
         "pool_workers": pool_workers,
@@ -503,13 +447,6 @@ def bench_fleet(repeats: int, trace) -> dict:
             "single_pipeline_no_pool_s": round(serial_s, 6),
         },
         "pipeline_scaling": scaling,
-        "dispatch": {
-            "warm_pool_s": round(warm_s, 6),
-            "spawn_per_call_s": round(spawn_s, 6),
-            "warm_pool_saves_s": round(spawn_s - warm_s, 6),
-            "warm_pool_vs_spawn": round(spawn_s / warm_s, 2),
-            "trace_reuses": reuses,
-        },
         "journals_identical_to_standalone": True,
         "cpus": os.cpu_count(),
     }
@@ -1006,17 +943,15 @@ def main() -> int:
     print(json.dumps(service["timings"], indent=2))
     print(json.dumps(service["overhead"], indent=2))
 
-    print("benchmarking columnar core + shm dispatch ...", flush=True)
+    print("benchmarking columnar core ...", flush=True)
     columnar = bench_columnar(args.repeats, trace)
     if "end_to_end" in columnar:
         print(json.dumps(columnar["end_to_end"], indent=2))
-        print(json.dumps(columnar["worker_scaling"], indent=2))
 
     print("benchmarking fleet execution plane ...", flush=True)
     fleet = bench_fleet(args.repeats, trace60)
     if "pipeline_scaling" in fleet:
         print(json.dumps(fleet["pipeline_scaling"], indent=2))
-        print(json.dumps(fleet["dispatch"], indent=2))
 
     print("benchmarking endurance restart-replay cost ...", flush=True)
     endurance = bench_endurance(args.repeats)

@@ -1179,82 +1179,29 @@ class ColumnarPathDecomposition:
         return result
 
 
-# -- shared-memory parallel dispatch -------------------------------------------
+# -- shared-memory trace registry ----------------------------------------------
 
 
-class ShmDispatch:
-    """Per-``diagnose_all`` shared blocks for worker attachment.
-
-    Creates one block for the trace columns and one for the victim table;
-    :meth:`cleanup` closes and unlinks both and is safe to call from any
-    error path (including :class:`BaseException` unwinds like
-    ``SimulatedCrash`` — the caller wraps dispatch in ``try/finally`` so no
-    ``/dev/shm`` segment ever outlives the call).
-
-    With ``trace_cache`` (a :class:`SharedTraceCache`) the trace block is
-    *borrowed* instead of created: successive ``diagnose_all`` calls on an
-    unchanged trace reuse one segment, and only the per-call victim block
-    is created and unlinked here.  Unlink responsibility for the borrowed
-    segment stays with the cache's owner (a worker pool or engine
-    ``close()``), which keeps the no-leak guarantee BaseException-safe —
-    the owner's ``try/finally`` spans every call that borrowed from it.
-    """
-
-    def __init__(
-        self,
-        trace: DiagTrace,
-        victims: Sequence,
-        trace_cache: Optional["SharedTraceCache"] = None,
-    ) -> None:
-        cols = trace.columns()
-        if cols is None:
-            raise TraceError("shared-memory dispatch requires the columnar backend")
-        self.nf_names = cols.nf_names
-        self._owns_trace = trace_cache is None
-        if trace_cache is None:
-            self.trace_shm = share_trace(trace)
-        else:
-            self.trace_shm = trace_cache.segment()
+def unlink_block(shm) -> None:
+    """Close and unlink a block this process created (idempotent, never
+    raises — it runs in ``finally`` clauses on BaseException unwinds)."""
+    for fn in (shm.close, shm.unlink):
         try:
-            self.victims_shm = share_victims(victims, cols)
-        except BaseException:
-            if self._owns_trace:
-                self._unlink(self.trace_shm)
-            raise
-
-    def task_args(self, lo: int, hi: int, engine_params: tuple) -> tuple:
-        return (self.trace_shm.name, self.victims_shm.name, lo, hi, engine_params)
-
-    def payload_bytes(self, lo: int, hi: int, engine_params: tuple) -> int:
-        """Serialized dispatch size per task — what a spawn context would
-        ship (fork ships even less).  Recorded by the benchmarks."""
-        return len(pickle.dumps(self.task_args(lo, hi, engine_params)))
-
-    @staticmethod
-    def _unlink(shm) -> None:
-        for fn in (shm.close, shm.unlink):
-            try:
-                fn()
-            except Exception:
-                pass
-
-    def cleanup(self) -> None:
-        self._unlink(self.victims_shm)
-        if self._owns_trace:
-            self._unlink(self.trace_shm)
+            fn()
+        except Exception:
+            pass
 
 
 class SharedTraceCache:
     """One reusable :func:`share_trace` segment, mutation-keyed.
 
-    The per-call dispatch path pays a full column copy into a fresh
-    ``/dev/shm`` block on *every* ``diagnose_all`` — wasted work when the
-    trace has not changed between calls (the overwhelmingly common case
-    for a service diagnosing chunk after chunk of one trace).  This cache
-    keys the segment on the trace's mutation counter, exactly like the
-    engine's columns cache: an unchanged trace reuses the same named
-    block, a mutated trace (live ingest grew it) retires the old segment
-    and shares a fresh generation.
+    Copying the columns into a fresh ``/dev/shm`` block on *every*
+    ``diagnose_all`` is wasted work when the trace has not changed between
+    calls (the overwhelmingly common case for a service diagnosing chunk
+    after chunk of one trace).  This cache keys the segment on the trace's
+    mutation counter, exactly like the engine's columns cache: an
+    unchanged trace reuses the same named block, a mutated trace (live
+    ingest grew it) retires the old segment and shares a fresh generation.
 
     Ownership contract: whoever constructs the cache must call
     :meth:`close` on every exit path (``try/finally``), which unlinks the
@@ -1282,7 +1229,7 @@ class SharedTraceCache:
         self._shm = share_trace(self.trace)
         self._mutations = mutations
         self.shares += 1
-        self._finalizer = weakref.finalize(self, ShmDispatch._unlink, self._shm)
+        self._finalizer = weakref.finalize(self, unlink_block, self._shm)
         return self._shm
 
     @property
@@ -1295,7 +1242,7 @@ class SharedTraceCache:
             self._finalizer.detach()
             self._finalizer = None
         if self._shm is not None:
-            ShmDispatch._unlink(self._shm)
+            unlink_block(self._shm)
             self._shm = None
         self._mutations = -1
 

@@ -27,24 +27,21 @@ PreSet prefix of the same buildup reuses one walk).  Memoization is
 result-invariant: every mode computes through the same code path, so
 culprit lists are bit-identical with it on or off.
 
-``diagnose_all(victims, workers=N)`` additionally shards victims across N
-worker processes (one process per shard, individually watchdogged).  With
-the columnar trace backend the trace crosses the process boundary as a
-shared-memory block — workers attach by name and the per-task dispatch
-payload is a handle plus a victim range; otherwise each worker rebuilds
-the engine from the (picklable) trace.  Shards are reassembled in
-submission order, so output order and content match the serial path
-exactly.  ``workers="auto"`` picks serial below a victim-count threshold
-(pool startup costs more than it saves on small workloads) and records
-the decision in ``cache_stats``.
+``diagnose_all`` runs victims serially in this process.  ``workers=N``
+hands the batch to a :class:`repro.fleet.WorkerPool` — the caller's
+(``executor=``) or one scoped to the call — which shards it across worker
+processes and reassembles results in victim order, identical to the serial
+output (see :meth:`repro.fleet.WorkerPool.diagnose` for the dispatch
+contract).  This module starts no process itself: it keeps the algorithm,
+the wire codec workers answer in (also the service's journal format) and
+the two worker-side entry points.  ``workers="auto"`` picks serial below
+a victim-count threshold (pool startup costs more than it saves on small
+workloads) and records the decision in ``cache_stats``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import pickle
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -177,7 +174,7 @@ class CacheStats:
     carried_entries: int = 0
     evicted_entries: int = 0
     #: Parallel ``diagnose_all`` shards that lost their worker process and
-    #: were retried serially in the parent (see ``_diagnose_parallel``).
+    #: were retried serially in the parent (``WorkerPool.diagnose``).
     worker_failures: int = 0
     #: Subset of ``worker_failures`` caused by a shard blowing through the
     #: per-task deadline (``task_timeout_s``): the pool was presumed wedged,
@@ -241,7 +238,8 @@ class MicroscopeEngine:
         self._auto_serial = 0
         self._auto_parallel = 0
         #: Dispatch telemetry of the most recent parallel ``diagnose_all``:
-        #: ``{"mode": "shm" | "pickle", "payload_bytes_per_task": int}``.
+        #: ``{"mode": "shm" | "pickle", "payload_bytes_per_task": int | None,
+        #: "inline_shards": int}``, written by ``WorkerPool.diagnose``.
         self.last_dispatch: Optional[Dict[str, object]] = None
         # trace.columns() re-reads REPRO_TRACE_BACKEND on every call (so
         # env switches are honoured between runs); the per-victim hot path
@@ -514,64 +512,73 @@ class MicroscopeEngine:
     ) -> List[VictimDiagnosis]:
         """Diagnose every victim, serially or across a process pool.
 
-        ``workers=None`` (or ``0``/``1``) keeps the serial path, and
+        ``workers=None`` (or ``0``/``1``) runs serially, and
         ``workers="auto"`` lets :func:`resolve_auto_workers` decide —
         serial below :data:`AUTO_MIN_VICTIMS` victims or on a single core,
-        with the decision counted in ``cache_stats``.  With ``workers=N``
-        victims are sharded into contiguous chunks across N worker
-        processes; on the columnar backend the trace and victim table
-        cross as shared-memory blocks that workers attach by name (tiny
-        dispatch payloads), otherwise each worker builds its own engine
-        from the trace (handed over by pickling once per worker).  Either
-        way results come back in victim order, identical to the serial
-        output.
+        with the decision counted in ``cache_stats``.  ``workers=N`` hands
+        this engine to :meth:`repro.fleet.WorkerPool.diagnose`, which
+        shards the victims across worker processes and returns results in
+        victim order, identical to the serial output.
 
-        ``task_timeout_s`` is a per-shard watchdog: each shard runs in its
-        own process, and only a shard that misses the deadline is
-        terminated (a hung process never honours a soft shutdown) — shards
-        that finished are harvested, even ones completing after another
-        shard's deadline fired.  Victims of killed or crashed shards are
-        retried serially in the parent, counted in
-        ``cache_stats.worker_timeouts``/``worker_failures``.  One stuck
-        worker can therefore neither hang the run nor discard its
-        siblings' work.
+        ``executor`` is a persistent :class:`repro.fleet.WorkerPool` whose
+        warm workers and registered trace segments are reused across
+        calls; without one, a pool of ``workers`` processes is opened for
+        this call and closed on every exit path.  With an executor even
+        ``workers=1`` goes through the pool — the point of the fleet plane
+        is that the chunk then computes *outside* this process, so
+        concurrent pipelines overlap despite the GIL.
 
-        ``executor`` injects a persistent :class:`repro.fleet.WorkerPool`:
-        shards are dispatched to its warm workers instead of spawning a
-        fresh process per shard, and the trace's shared-memory segment is
-        registered once with the pool and reused across calls
-        (mutation-keyed) instead of re-shared and unlinked per call.  With
-        an executor even ``workers=1`` goes through the pool — the point
-        of the fleet plane is that the chunk then computes *outside* this
-        process, so concurrent pipelines overlap despite the GIL.
+        ``task_timeout_s`` is the pool's per-shard watchdog: a shard that
+        misses the deadline has its worker killed while finished siblings
+        are still harvested; victims of killed or crashed shards are
+        retried serially here, counted in
+        ``cache_stats.worker_timeouts``/``worker_failures``.
         ``concurrent_pipelines`` feeds the ``"auto"`` resolver so N
         pipelines sharing the host don't oversubscribe it N-fold.
         """
         if workers == "auto":
-            if concurrent_pipelines > 1:
-                resolved = resolve_auto_workers(
-                    len(victims), concurrent_pipelines=concurrent_pipelines
-                )
-            else:
-                resolved = resolve_auto_workers(len(victims))
-            if resolved is None and executor is not None and len(victims) > 1:
+            workers = resolve_auto_workers(
+                len(victims), concurrent_pipelines=concurrent_pipelines
+            )
+            if workers is None and executor is not None and len(victims) > 1:
                 # Under a pool, "stay serial" still means "run in one warm
                 # worker": the decision is about shard count, not about
                 # computing inline and serializing the fleet.
-                resolved = 1
-            if resolved is None:
+                workers = 1
+            if workers is None:
                 self._auto_serial += 1
-                workers = None
             else:
                 self._auto_parallel += 1
-                workers = resolved
         if executor is not None and workers is not None and workers >= 1 and victims:
-            return self._diagnose_pooled(victims, workers, task_timeout_s, executor)
+            return executor.diagnose(self, victims, workers, task_timeout_s)
         if workers is None or workers <= 1 or len(victims) <= 1:
             if len(victims) > 1:
                 self._prefill_periods(victims)
             return [self.diagnose(victim) for victim in victims]
-        return self._diagnose_parallel(victims, workers, task_timeout_s)
+        from repro.fleet.pool import WorkerPool
+
+        with WorkerPool(min(workers, len(victims))) as pool:
+            return pool.diagnose(self, victims, workers, task_timeout_s)
+
+    # -- dispatcher contract (what a worker pool needs from the engine) ---------
+
+    def worker_init_args(self) -> tuple:
+        """Constructor arguments that rebuild this engine in a worker
+        process (``_parallel_worker_init(*args)``)."""
+        return (
+            self.trace,
+            self.max_depth,
+            self.min_score,
+            self._queue_threshold,
+            self.memoize,
+            self.backend,
+        )
+
+    def record_worker_failure(self, timed_out: bool = False) -> None:
+        """Count one shard the pool lost (and will have retried serially)."""
+        self._worker_failures += 1
+        if timed_out:
+            self._worker_timeouts += 1
 
     def _prefill_periods(self, victims: Sequence[Victim]) -> None:
         """Resolve the depth-0 recursion frontier in one vectorized pass.
@@ -632,267 +639,6 @@ class MicroscopeEngine:
                 self._local_misses += 1  # same charge as the scalar path
                 self._local_cache[period] = scores
                 self._local_gen[period] = self._chunk_generation
-
-    def _diagnose_parallel(
-        self,
-        victims: Sequence[Victim],
-        workers: int,
-        task_timeout_s: Optional[float] = None,
-    ) -> List[VictimDiagnosis]:
-        n_shards = min(workers, len(victims))
-        shard_size = (len(victims) + n_shards - 1) // n_shards
-        bounds = [
-            (i, min(i + shard_size, len(victims)))
-            for i in range(0, len(victims), shard_size)
-        ]
-        chunks = [list(victims[lo:hi]) for lo, hi in bounds]
-        # Fork keeps the trace handoff cheap where available (the child
-        # inherits it); spawn platforms fall back to pickling via args.
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else methods[0]
-        )
-        init_args = (
-            self.trace,
-            self.max_depth,
-            self.min_score,
-            self._queue_threshold,
-            self.memoize,
-            self.backend,
-        )
-        engine_params = init_args[1:]
-        # Columnar traces cross the process boundary as shared-memory
-        # blocks: workers attach by name and the per-task payload is a
-        # handle plus a victim range.  Creation failure (or the object
-        # backend) falls back to the pickled-trace handoff.
-        dispatch = None
-        cols = self._columns()
-        if cols is not None:
-            try:
-                from repro.core.columnar import ShmDispatch, shm_available
-
-                if shm_available():
-                    dispatch = ShmDispatch(self.trace, victims)
-            except Exception:  # pragma: no cover - e.g. /dev/shm exhausted
-                dispatch = None
-        # One process + pipe per shard instead of a shared pool: a wedged
-        # or crashed shard (OOM kill, segfaulting extension, infinite
-        # loop) is terminated *individually* while its siblings' results
-        # are still harvested.  Shards without a result fall through to
-        # the serial retry, and the incidents surface via
-        # ``cache_stats.worker_failures``/``worker_timeouts``.
-        chunk_wires: List[Optional[List[_Wire]]] = [None] * len(chunks)
-        procs = []
-        conns = []
-        try:
-            self.last_dispatch = {
-                "mode": "shm" if dispatch is not None else "pickle",
-                "payload_bytes_per_task": (
-                    None
-                    if dispatch is None
-                    else max(
-                        dispatch.payload_bytes(lo, hi, engine_params)
-                        for lo, hi in bounds
-                    )
-                ),
-            }
-            for (lo, hi), chunk in zip(bounds, chunks):
-                recv_conn, send_conn = context.Pipe(duplex=False)
-                if dispatch is not None:
-                    proc = context.Process(
-                        target=_shm_shard_worker_main,
-                        args=(send_conn,) + dispatch.task_args(lo, hi, engine_params),
-                        daemon=True,
-                    )
-                else:
-                    proc = context.Process(
-                        target=_shard_worker_main,
-                        args=(send_conn, init_args, chunk),
-                        daemon=True,
-                    )
-                proc.start()
-                send_conn.close()  # child holds the only writer now
-                procs.append(proc)
-                conns.append(recv_conn)
-            # All shards started together, so they share one wall-clock
-            # deadline; each is given whatever remains of it.
-            deadline = (
-                None if task_timeout_s is None else time.monotonic() + task_timeout_s
-            )
-            for idx, conn in enumerate(conns):
-                try:
-                    if deadline is not None:
-                        # poll(0) still harvests a shard that finished after an
-                        # earlier shard burned the remaining budget.
-                        remaining = max(0.0, deadline - time.monotonic())
-                        if not conn.poll(remaining):
-                            self._worker_failures += 1
-                            self._worker_timeouts += 1
-                            procs[idx].terminate()
-                            continue
-                    status, payload = conn.recv()
-                    if status == "ok":
-                        chunk_wires[idx] = payload
-                    else:
-                        self._worker_failures += 1
-                except (EOFError, OSError):
-                    # The child died before reporting (crash, kill).
-                    self._worker_failures += 1
-                finally:
-                    conn.close()
-            for proc in procs:
-                proc.join(timeout=5.0)
-                if proc.is_alive():  # pragma: no cover - stuck in terminate
-                    proc.kill()
-                    proc.join(timeout=5.0)
-        finally:
-            # BaseException-safe: a SimulatedCrash (or any error) unwinding
-            # through a parallel diagnosis must not leak /dev/shm segments.
-            if dispatch is not None:
-                dispatch.cleanup()
-        results: List[VictimDiagnosis] = []
-        for chunk, wires in zip(chunks, chunk_wires):
-            if wires is None:
-                results.extend(self.diagnose(victim) for victim in chunk)
-            else:
-                # Workers ship compact wire tuples, not pickled dataclass
-                # trees; reconstruction on this side is deterministic.
-                for victim, wire in zip(chunk, wires):
-                    results.append(_diagnosis_from_wire(victim, wire))
-        return results
-
-    def _diagnose_pooled(
-        self,
-        victims: Sequence[Victim],
-        workers: int,
-        task_timeout_s: Optional[float],
-        executor,
-    ) -> List[VictimDiagnosis]:
-        """Shard dispatch over a persistent worker pool (fleet plane).
-
-        Differences from :meth:`_diagnose_parallel`: no processes are
-        spawned (the pool's warm workers are checked out per shard and
-        returned afterwards), and the trace segment is *registered* with
-        the pool — shared once, attached by name, reused across every call
-        on the unchanged trace — so only the small per-call victim block
-        is created and unlinked here.  Failure semantics are identical:
-        shards that time out have their worker killed (the pool respawns a
-        fresh one) and every shard without a result is retried serially,
-        under the same ``worker_failures``/``worker_timeouts`` accounting.
-
-        Deadlock discipline (the pool is shared by concurrent pipelines):
-        this thread blocks on checkout only while it holds no workers —
-        the first shard's ``submit`` may wait, every later one is timed.
-        When no worker frees up, the oldest in-flight shard is harvested
-        first (returning our own worker to the pool) and the checkout
-        retried briefly; a still-contended pool means sibling pipelines
-        own the workers, so the shard simply runs inline in this thread
-        (``last_dispatch["inline_shards"]``).  No pipeline ever waits on
-        workers while pinning workers a sibling needs, so N pipelines
-        each dispatching multiple shards over a small pool cannot
-        hold-and-wait each other into a standstill.  Shards are still
-        capped at the pool size — more could never run concurrently.
-        """
-        workers = min(workers, executor.size)
-        n_shards = max(1, min(workers, len(victims)))
-        shard_size = (len(victims) + n_shards - 1) // n_shards
-        bounds = [
-            (i, min(i + shard_size, len(victims)))
-            for i in range(0, len(victims), shard_size)
-        ]
-        chunks = [list(victims[lo:hi]) for lo, hi in bounds]
-        init_args = (
-            self.trace,
-            self.max_depth,
-            self.min_score,
-            self._queue_threshold,
-            self.memoize,
-            self.backend,
-        )
-        engine_params = init_args[1:]
-        victims_shm = None
-        trace_name = None
-        cols = self._columns()
-        if cols is not None:
-            try:
-                from repro.core.columnar import share_victims, shm_available
-
-                if shm_available():
-                    trace_name = executor.register_trace(self.trace)
-                    victims_shm = share_victims(victims, cols)
-            except Exception:  # pragma: no cover - e.g. /dev/shm exhausted
-                trace_name = None
-                victims_shm = None
-        chunk_wires: List[Optional[List[_Wire]]] = [None] * len(chunks)
-        try:
-            if victims_shm is not None:
-                tasks = [
-                    ("shm", trace_name, victims_shm.name, lo, hi, engine_params)
-                    for lo, hi in bounds
-                ]
-                payload = max(len(pickle.dumps(t)) for t in tasks)
-            else:
-                tasks = [("pickle", init_args, chunk) for chunk in chunks]
-                payload = None
-            self.last_dispatch = {
-                "mode": "shm" if victims_shm is not None else "pickle",
-                "pooled": True,
-                "payload_bytes_per_task": payload,
-            }
-            deadline = (
-                None if task_timeout_s is None else time.monotonic() + task_timeout_s
-            )
-            inline_shards = 0
-            pending: List[Tuple[int, object]] = []
-
-            def _harvest(h_idx: int, handle) -> None:
-                status, wires = handle.result(deadline)
-                if status == "ok":
-                    chunk_wires[h_idx] = wires
-                elif status == "timeout":
-                    self._worker_failures += 1
-                    self._worker_timeouts += 1
-                else:
-                    self._worker_failures += 1
-
-            for idx, task in enumerate(tasks):
-                if not pending:
-                    # Holding no workers: blocking here cannot deadlock
-                    # (see docstring) and FIFO checkout keeps it fair.
-                    handle = executor.submit(task)
-                else:
-                    # Holding workers: never block.  Poll; if saturated,
-                    # free one of our own by harvesting the oldest shard,
-                    # retry briefly, and fall back to inline diagnosis
-                    # when siblings keep the pool contended.
-                    handle = executor.submit(task, timeout=0)
-                    if handle is None:
-                        h_idx, h = pending.pop(0)
-                        _harvest(h_idx, h)
-                        handle = executor.submit(task, timeout=0.05)
-                    if handle is None:
-                        inline_shards += 1
-                        continue
-                pending.append((idx, handle))
-            for h_idx, h in pending:
-                _harvest(h_idx, h)
-            self.last_dispatch["inline_shards"] = inline_shards
-        finally:
-            # The borrowed trace segment stays with the pool (unlinked by
-            # ``executor.close()``); the per-call victim block must not
-            # outlive this call on any path, BaseException included.
-            if victims_shm is not None:
-                from repro.core.columnar import ShmDispatch
-
-                ShmDispatch._unlink(victims_shm)
-        results: List[VictimDiagnosis] = []
-        for chunk, wires in zip(chunks, chunk_wires):
-            if wires is None:
-                results.extend(self.diagnose(victim) for victim in chunk)
-            else:
-                for victim, wire in zip(chunk, wires):
-                    results.append(_diagnosis_from_wire(victim, wire))
-        return results
 
     # -- recursion ------------------------------------------------------------
 
@@ -1218,28 +964,19 @@ def _diagnosis_from_wire(victim: Victim, wire: _Wire) -> VictimDiagnosis:
     )
 
 
-# -- process-pool plumbing (module level so spawn contexts can pickle it) -----
+# -- worker-side entry points ---------------------------------------------------
+#
+# ``repro.fleet.pool`` workers resolve both through this module's globals at
+# call time, so a fork-inherited monkeypatch of either (how the watchdog
+# tests wedge or crash a worker) takes effect in the child.
 
 _WORKER_ENGINE: Optional[MicroscopeEngine] = None
 
 
-def _parallel_worker_init(
-    trace: DiagTrace,
-    max_depth: int,
-    min_score: float,
-    queue_threshold: int,
-    memoize: bool,
-    backend: Optional[str] = None,
-) -> None:
+def _parallel_worker_init(*engine_args) -> None:
+    """Build this worker's engine from ``MicroscopeEngine.worker_init_args()``."""
     global _WORKER_ENGINE
-    _WORKER_ENGINE = MicroscopeEngine(
-        trace,
-        max_depth=max_depth,
-        min_score=min_score,
-        queue_threshold=queue_threshold,
-        memoize=memoize,
-        backend=backend,
-    )
+    _WORKER_ENGINE = MicroscopeEngine(*engine_args)
 
 
 def _parallel_worker_diagnose(victims: List[Victim]) -> List[_Wire]:
@@ -1247,68 +984,6 @@ def _parallel_worker_diagnose(victims: List[Victim]) -> List[_Wire]:
     if len(victims) > 1:
         _WORKER_ENGINE._prefill_periods(victims)
     return [_diagnosis_to_wire(_WORKER_ENGINE.diagnose(victim)) for victim in victims]
-
-
-def _shard_worker_main(conn, init_args: tuple, victims: List[Victim]) -> None:
-    """Entry point of one shard process: init, diagnose, ship, exit.
-
-    ``_parallel_worker_init``/``_parallel_worker_diagnose`` are resolved
-    through module globals at call time, so a fork-inherited monkeypatch
-    of either (how the watchdog tests wedge a shard) takes effect here.
-    """
-    try:
-        _parallel_worker_init(*init_args)
-        conn.send(("ok", _parallel_worker_diagnose(victims)))
-    except BaseException as exc:  # pragma: no cover - crashed-shard path
-        try:
-            conn.send(("error", repr(exc)))
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
-
-def _shm_shard_worker_main(
-    conn,
-    trace_name: str,
-    victims_name: str,
-    lo: int,
-    hi: int,
-    engine_params: tuple,
-) -> None:
-    """Shard entry point for shared-memory dispatch: attach, diagnose, exit.
-
-    The trace materializes zero-copy from the block named ``trace_name``
-    and the victim slice decodes from ``victims_name``; nothing heavier
-    than the two names and the range ever crossed the process boundary.
-    Cleanup responsibility stays with the parent — this side only closes
-    its own mapping (after dropping every array view into it).
-    """
-    global _WORKER_ENGINE
-    shm = None
-    try:
-        from repro.core import columnar
-
-        trace, shm = columnar.attach_trace(trace_name)
-        victims = columnar.attach_victims(
-            victims_name, trace.columns().nf_names, lo, hi
-        )
-        _parallel_worker_init(trace, *engine_params)
-        trace = None
-        conn.send(("ok", _parallel_worker_diagnose(victims)))
-    except BaseException as exc:  # pragma: no cover - crashed-shard path
-        try:
-            conn.send(("error", repr(exc)))
-        except Exception:
-            pass
-    finally:
-        conn.close()
-        _WORKER_ENGINE = None  # drop shm-backed array views before close
-        if shm is not None:
-            try:
-                shm.close()
-            except Exception:  # pragma: no cover - views still referenced
-                pass
 
 
 #: Public aliases: the wire codec doubles as the service's journal format

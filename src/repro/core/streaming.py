@@ -229,7 +229,7 @@ class StreamingDiagnosis:
         self.config = config or StreamingConfig()
         self.victim_pct = victim_pct
         #: Persistent worker pool (fleet plane) forwarded to
-        #: ``diagnose_all``; None keeps the spawn-per-call path.
+        #: ``diagnose_all``; None means ``workers=N`` opens one per call.
         self.executor = executor
         #: Fleet fan-out hint for the ``workers="auto"`` resolver.
         self.concurrent_pipelines = concurrent_pipelines

@@ -1,10 +1,13 @@
-"""Persistent shared worker pool: warm processes, registered traces.
+"""The one way out of the process: a worker pool that shards diagnosis.
 
-The per-call parallel path in :mod:`repro.core.diagnosis` spawns one
-process per shard and shares/unlinks the trace's shared-memory segment on
-every ``diagnose_all`` — correct, but the spawn + share cost is paid per
-chunk, and a fleet of N pipelines would each pay it independently.
-:class:`WorkerPool` amortizes both:
+:class:`WorkerPool` is the only code in the repository that starts
+processes for diagnosis.  :meth:`WorkerPool.diagnose` shards a victim
+batch across the pool's workers and reassembles results in victim order,
+byte-identical to the serial engine; ``MicroscopeEngine.diagnose_all``
+hands itself to it — to the caller's pool (``executor=``, the fleet
+plane: one pool shared by every pipeline for the life of the run) or to
+one opened for the call and closed on every exit path (``workers=N``
+alone).  What a long-lived pool amortizes:
 
 * **warm workers** — processes are forked once at pool construction and
   serve tasks over duplex pipes until :meth:`close`.  A worker keeps a
@@ -19,23 +22,30 @@ chunk, and a fleet of N pipelines would each pay it independently.
   A mutated trace (live ingest grew it) retires the old segment and
   registers a fresh generation; workers notice the new name and attach
   fresh.  Every live segment is unlinked by :meth:`close`, which owners
-  run in ``try/finally`` so the no-``/dev/shm``-leak guarantee survives
-  :class:`BaseException` unwinds (``SimulatedCrash`` included);
+  run in ``try/finally`` (or ``with``) so the no-``/dev/shm``-leak
+  guarantee survives :class:`BaseException` unwinds (``SimulatedCrash``
+  included);
 * **checkout fairness** — free workers live in a FIFO queue; concurrent
   pipeline threads block on checkout and are served in arrival order, so
   no pipeline can starve another while the pool is saturated.
 
+Who shares, who unlinks: the pool creates and unlinks trace segments
+(``register_trace`` … ``close``); :meth:`diagnose` creates the small
+per-call victim block and unlinks it in its own ``finally``; workers only
+ever attach by name and close their mapping.
+
 Deadlock discipline: :meth:`submit` takes an optional ``timeout`` and
 returns ``None`` when no worker frees up in time.  Callers follow one
-rule — *never block on checkout while holding checked-out workers*.  The
-engine's pooled path blocks only for its first shard (holding nothing)
-and uses timed submits afterwards, falling back to inline diagnosis when
-the pool stays contended, so N pipelines sharing a small pool cannot
+rule — *never block on checkout while holding checked-out workers*.
+:meth:`diagnose` blocks only for its first shard (holding nothing) and
+uses timed submits afterwards, falling back to inline diagnosis when the
+pool stays contended, so N pipelines sharing a small pool cannot
 hold-and-wait each other into a standstill.
 
-Failure semantics match the per-call path: a worker that dies or misses
-its deadline is killed and a replacement spawned (``respawns`` in
-:class:`PoolStats`); the submitting engine retries the shard serially.
+Failure accounting: a worker that dies or misses its deadline is killed
+and a replacement spawned (``respawns`` in :class:`PoolStats`); only that
+shard is lost, and :meth:`diagnose` retries it serially in the caller,
+counted in the engine's ``cache_stats.worker_failures``/``worker_timeouts``.
 Replacements use the ``spawn`` start method: a mid-run respawn happens
 from an already-multithreaded parent (pipeline threads, possibly holding
 locks), where ``fork`` could deadlock the child — only the initial
@@ -43,20 +53,23 @@ workers, forked before any pipeline thread exists, inherit the parent's
 state.
 Workers resolve ``_parallel_worker_init``/``_parallel_worker_diagnose``
 through :mod:`repro.core.diagnosis` module globals at call time, so a
-fork-inherited monkeypatch of either (how the watchdog tests wedge a
-worker) behaves exactly as it does under the per-call path.
+fork-inherited monkeypatch of either is how the watchdog tests wedge a
+worker.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import queue
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import repro.core.diagnosis as diagnosis_mod
+from repro.core import columnar
 from repro.errors import FleetError
 
 #: Trace registrations the pool retains (LRU); each holds one /dev/shm
@@ -279,8 +292,6 @@ class WorkerPool:
         Already-attached workers keep their mapping alive across an
         unlink regardless, which POSIX permits.
         """
-        from repro.core.columnar import SharedTraceCache
-
         if self.closed:
             raise FleetError("register_trace on a closed pool")
         to_close = []
@@ -288,7 +299,7 @@ class WorkerPool:
             with self._lock:
                 entry = self._traces.get(id(trace))
                 if entry is None or entry[0] is not trace:
-                    entry = (trace, SharedTraceCache(trace))
+                    entry = (trace, columnar.SharedTraceCache(trace))
                     self._traces[id(trace)] = entry
                 else:
                     # The cache would retire its generation inside
@@ -302,7 +313,7 @@ class WorkerPool:
                         and self._seg_refs.get(old_name, 0) > 0
                     ):
                         self._park_cache(old_name, cache)
-                        entry = (trace, SharedTraceCache(trace))
+                        entry = (trace, columnar.SharedTraceCache(trace))
                         self._traces[id(trace)] = entry
                 self._traces.move_to_end(id(trace))
                 while len(self._traces) > self.max_traces:
@@ -374,8 +385,8 @@ class WorkerPool:
         caller holding no checked-out workers (see module docstring);
         ``timeout=0`` polls.  The task is a ``("shm", trace_name,
         victims_name, lo, hi, params)`` or ``("pickle", init_args,
-        victims)`` tuple — the same shapes the per-call shard workers
-        consume.
+        victims)`` tuple (the object trace backend has no columns to
+        share, so its trace crosses pickled).
         """
         if self.closed:
             raise FleetError("submit on a closed pool")
@@ -405,6 +416,117 @@ class WorkerPool:
         segment = task[1] if task and task[0] == "shm" else None
         self._incref_segment(segment)
         return PendingTask(self, worker, segment)
+
+    def diagnose(
+        self,
+        engine,
+        victims: Sequence,
+        shards: int,
+        task_timeout_s: Optional[float] = None,
+    ) -> List:
+        """Diagnose ``victims`` for ``engine`` across up to ``shards`` workers.
+
+        Victims are cut into contiguous shards (never more than the pool
+        has workers — more could not run concurrently).  On the columnar
+        backend the trace is *registered* with the pool and the victims
+        cross as one small shared block created and unlinked here, so a
+        task is two names plus a range; on the object backend each task
+        carries the pickled trace.  Results are reassembled in victim
+        order, identical to the serial output.
+
+        ``task_timeout_s`` is one wall-clock deadline shared by the
+        call's shards: an expired shard's worker is killed, finished
+        siblings are still harvested.  Every shard without a result —
+        timed out, crashed, errored, or run inline because sibling
+        pipelines kept the pool contended (``last_dispatch
+        ["inline_shards"]``, see the module's deadlock discipline) — is
+        diagnosed serially by ``engine`` in this thread, failures counted
+        via ``engine.record_worker_failure``.
+        """
+        n_shards = max(1, min(shards, self.size, len(victims)))
+        shard_size = (len(victims) + n_shards - 1) // n_shards
+        bounds = [
+            (lo, min(lo + shard_size, len(victims)))
+            for lo in range(0, len(victims), shard_size)
+        ]
+        init_args = engine.worker_init_args()
+        trace_name = None
+        victims_shm = None
+        cols = engine.trace.columns()
+        if cols is not None and columnar.shm_available():
+            try:
+                trace_name = self.register_trace(engine.trace)
+                victims_shm = columnar.share_victims(victims, cols)
+            except Exception:  # pragma: no cover - e.g. /dev/shm exhausted
+                pass  # no victim block: the tasks below carry pickles instead
+        shard_wires: List[Optional[list]] = [None] * len(bounds)
+        try:
+            if victims_shm is not None:
+                tasks = [
+                    ("shm", trace_name, victims_shm.name, lo, hi, init_args[1:])
+                    for lo, hi in bounds
+                ]
+                payload = max(len(pickle.dumps(task)) for task in tasks)
+            else:
+                tasks = [
+                    ("pickle", init_args, list(victims[lo:hi]))
+                    for lo, hi in bounds
+                ]
+                payload = None
+            engine.last_dispatch = {
+                "mode": "shm" if victims_shm is not None else "pickle",
+                "payload_bytes_per_task": payload,
+            }
+            deadline = (
+                None if task_timeout_s is None else time.monotonic() + task_timeout_s
+            )
+            inline_shards = 0
+            pending: List[Tuple[int, PendingTask]] = []
+
+            def harvest(idx: int, handle: PendingTask) -> None:
+                status, wires = handle.result(deadline)
+                if status == "ok":
+                    shard_wires[idx] = wires
+                else:
+                    engine.record_worker_failure(timed_out=status == "timeout")
+
+            for idx, task in enumerate(tasks):
+                if not pending:
+                    # Holding no workers: blocking here cannot deadlock
+                    # and FIFO checkout keeps it fair.
+                    handle = self.submit(task)
+                else:
+                    # Holding workers: never block.  Poll; if saturated,
+                    # free one of our own by harvesting the oldest shard,
+                    # retry briefly, and fall back to inline diagnosis
+                    # when siblings keep the pool contended.
+                    handle = self.submit(task, timeout=0)
+                    if handle is None:
+                        harvest(*pending.pop(0))
+                        handle = self.submit(task, timeout=0.05)
+                    if handle is None:
+                        inline_shards += 1
+                        continue
+                pending.append((idx, handle))
+            for idx, handle in pending:
+                harvest(idx, handle)
+            engine.last_dispatch["inline_shards"] = inline_shards
+        finally:
+            # The trace segment stays with the pool (unlinked by close());
+            # the per-call victim block must not outlive this call on any
+            # path, BaseException included.
+            if victims_shm is not None:
+                columnar.unlink_block(victims_shm)
+        results: List = []
+        for (lo, hi), wires in zip(bounds, shard_wires):
+            shard = victims[lo:hi]
+            if wires is None:
+                results.extend(engine.diagnose(victim) for victim in shard)
+            else:
+                # Workers ship compact wire tuples, not pickled dataclass
+                # trees; reconstruction on this side is deterministic.
+                results.extend(map(diagnosis_mod.diagnosis_from_wire, shard, wires))
+        return results
 
     def _checkout(self, timeout: Optional[float] = None) -> Optional[_Worker]:
         try:
@@ -476,12 +598,8 @@ def _pool_worker_main(conn) -> None:
     pipeline's successive chunks skip both the attach and the engine
     rebuild.  Diagnosis itself goes through the module-global
     ``_parallel_worker_init``/``_parallel_worker_diagnose`` entry points
-    in :mod:`repro.core.diagnosis` — same code, same monkeypatchability
-    as the per-call shard workers.
+    in :mod:`repro.core.diagnosis`.
     """
-    import repro.core.diagnosis as diagnosis_mod
-    from repro.core import columnar
-
     engines: "OrderedDict[tuple, object]" = OrderedDict()
     segments: Dict[tuple, object] = {}
 

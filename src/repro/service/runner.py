@@ -330,8 +330,8 @@ class DiagnosisService:
         self.faults = faults
         self.flaky = flaky
         #: Persistent worker pool shared across pipelines (fleet mode).
-        #: None keeps the spawn-per-call parallel path — the service never
-        #: creates a pool on its own; injection is the opt-in.
+        #: None means ``workers=N`` opens a pool per ``diagnose_all`` call
+        #: — the service never keeps one on its own; injection is the opt-in.
         self.executor = executor
         #: Supervisor stop order, polled at chunk boundaries only: a
         #: sibling pipeline's crash stops this one *between* committed

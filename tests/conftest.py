@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.core.records import DiagTrace
@@ -18,6 +22,40 @@ from repro.nfv import (
 )
 from repro.traffic import IpidSpace, PidAllocator, constant_rate_flow
 from repro.util import MSEC, USEC, substream
+
+
+def shm_segments():
+    """Names of live POSIX shared-memory segments (Linux: /dev/shm)."""
+    try:
+        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+    except FileNotFoundError:  # pragma: no cover - non-Linux
+        return set()
+
+
+#: Tests that leave the process (worker pools, shared memory), as paths
+#: relative to ``tests/``; the leak guard below applies to exactly these.
+LEAK_GUARDED = (
+    "core/test_shm_parallel.py",
+    "core/test_diagnosis_timeout.py",
+    "fleet/",
+    "service/test_service.py",
+)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_segments_or_workers(request):
+    """A guarded test leaves ``/dev/shm`` as it found it and no child
+    process alive — a pool, scoped or injected, unlinks its segments and
+    reaps its workers on every exit path, timeouts and crashes included."""
+    relative = Path(request.node.path).relative_to(Path(__file__).parent)
+    if not relative.as_posix().startswith(LEAK_GUARDED):
+        yield
+        return
+    segments = shm_segments()
+    children = set(multiprocessing.active_children())
+    yield
+    assert shm_segments() == segments
+    assert set(multiprocessing.active_children()) <= children
 
 
 def make_chain_topology() -> Topology:

@@ -3,10 +3,12 @@
 Parallel ``diagnose_all`` on the columnar backend ships the trace once as
 a named shared-memory block; workers attach by name, so the per-task
 dispatch payload is a handle plus a victim range.  These tests pin the
-lifecycle contract from DESIGN.md: attach round-trips are exact, parallel
-output stays bit-identical, payloads stay tiny, and *no* ``/dev/shm``
-segment survives any exit path — success, worker crash, pool failure, or
-a :class:`SimulatedCrash` unwinding mid-dispatch.
+dispatch contract from DESIGN.md for the pool ``workers=N`` opens for the
+call: attach round-trips are exact, parallel output stays bit-identical,
+payloads stay tiny, and *no* ``/dev/shm`` segment or worker process
+survives any exit path — success, worker crash, or a
+:class:`SimulatedCrash` unwinding mid-dispatch (``tests/conftest.py``'s
+leak guard asserts it after every test here).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import pytest
 
 import repro.core.diagnosis as diagnosis_mod
 from repro.core.columnar import (
-    ShmDispatch,
     attach_trace,
     attach_victims,
     share_trace,
@@ -28,6 +29,7 @@ from repro.core.columnar import (
 from repro.core.diagnosis import MicroscopeEngine, resolve_auto_workers
 from repro.core.records import DiagTrace
 from repro.core.victims import VictimSelector
+from repro.fleet import WorkerPool
 from repro.service.crashsim import SimulatedCrash
 from tests.conftest import run_interrupt_chain
 from tests.core.test_fastpath import canonical_bytes
@@ -38,14 +40,6 @@ pytestmark = pytest.mark.skipif(
 
 #: Acceptance criterion from the issue: dispatch payloads under 10 KB.
 PAYLOAD_CEILING = 10 * 1024
-
-
-def shm_segments():
-    """Names of live POSIX shared-memory segments (Linux: /dev/shm)."""
-    try:
-        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
 
 
 @pytest.fixture(scope="module")
@@ -62,14 +56,6 @@ def columnar_backend(monkeypatch):
     suite passes even when run under ``REPRO_TRACE_BACKEND=python`` (the CI
     oracle job).  Tests of the pickle fallback override this per-test."""
     monkeypatch.setenv("REPRO_TRACE_BACKEND", "columnar")
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_segments():
-    """Every test in this file must leave /dev/shm exactly as it found it."""
-    before = shm_segments()
-    yield
-    assert shm_segments() == before
 
 
 class TestShareAttachRoundTrip:
@@ -154,14 +140,13 @@ class TestShmParallelDispatch:
         # The point of shm dispatch: payloads are handles + ranges, so
         # they must not scale with the victim population.
         trace, victims = chain
-        dispatch = ShmDispatch(trace, victims)
-        try:
-            params = (8, 1e-3, 0, True, None)
-            small = dispatch.payload_bytes(0, 1, params)
-            large = dispatch.payload_bytes(0, len(victims), params)
-            assert large == small
-        finally:
-            dispatch.cleanup()
+        engine = MicroscopeEngine(trace)
+        engine.diagnose_all(victims[:2], workers=2)
+        small = engine.last_dispatch["payload_bytes_per_task"]
+        engine.diagnose_all(victims, workers=2)
+        # The two range integers may pickle a few bytes wider; nothing
+        # per-victim may ride along.
+        assert engine.last_dispatch["payload_bytes_per_task"] <= small + 8
 
     def test_pickled_trace_never_ships_columns(self, chain):
         # Legacy (pickle) dispatch fallback must not double-ship the data:
@@ -185,8 +170,8 @@ class TestShmParallelDispatch:
 
 
 class TestShmCleanupOnFailure:
-    """Satellite: no /dev/shm segment outlives diagnose_all on any path
-    (the autouse fixture asserts the invariant after every test here)."""
+    """No /dev/shm segment or worker outlives diagnose_all on any path
+    (the leak guard asserts the invariant after every test here)."""
 
     def test_cleanup_after_worker_crash(self, chain, monkeypatch):
         def exploding_init(*_args, **_kwargs):
@@ -197,25 +182,22 @@ class TestShmCleanupOnFailure:
         engine = MicroscopeEngine(trace)
         recovered = engine.diagnose_all(victims, workers=2)
         assert engine.cache_stats.worker_failures > 0
-        assert len(recovered) == len(victims)
+        assert canonical_bytes(recovered) == canonical_bytes(
+            MicroscopeEngine(trace).diagnose_all(victims)
+        )
 
     def test_cleanup_when_dispatch_raises_simulated_crash(self, chain, monkeypatch):
-        # A SimulatedCrash (BaseException) unwinding out of the dispatch
-        # loop must still unlink both blocks via the finally.
-        def crash(self, lo, hi, engine_params):
+        # A SimulatedCrash (BaseException) unwinding out of the submit
+        # loop must still unlink the victim block (diagnose's finally) and
+        # the trace segment, and reap the workers (the scoped pool's exit).
+        def crash(self, task, timeout=None):
             raise SimulatedCrash("pre-diagnose", 0)
 
-        monkeypatch.setattr(ShmDispatch, "task_args", crash)
+        monkeypatch.setattr(WorkerPool, "submit", crash)
         trace, victims = chain
         engine = MicroscopeEngine(trace)
         with pytest.raises(SimulatedCrash):
             engine.diagnose_all(victims, workers=2)
-
-    def test_explicit_cleanup_is_idempotent(self, chain):
-        trace, victims = chain
-        dispatch = ShmDispatch(trace, victims)
-        dispatch.cleanup()
-        dispatch.cleanup()  # second unlink must not raise
 
 
 class TestAutoWorkers:
@@ -249,7 +231,9 @@ class TestAutoWorkers:
         )
 
     def test_auto_parallel_decision_recorded(self, chain, monkeypatch):
-        monkeypatch.setattr(diagnosis_mod, "resolve_auto_workers", lambda n: 2)
+        monkeypatch.setattr(
+            diagnosis_mod, "resolve_auto_workers", lambda n, **_kwargs: 2
+        )
         trace, victims = chain
         engine = MicroscopeEngine(trace)
         auto = engine.diagnose_all(victims, workers="auto")

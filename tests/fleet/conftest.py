@@ -1,22 +1,14 @@
-"""Fleet fixtures: a shared scenario trace and the no-shm-leak invariant."""
+"""Fleet fixtures: a shared scenario trace (the no-leak invariant every
+fleet test runs under lives in ``tests/conftest.py``)."""
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
 from repro.core.records import DiagTrace
 from repro.core.victims import VictimSelector
 from tests.conftest import run_interrupt_chain
-
-
-def shm_segments():
-    """Names of live POSIX shared-memory segments (Linux: /dev/shm)."""
-    try:
-        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
+from tests.conftest import shm_segments  # noqa: F401 - test_pool imports it from here
 
 
 @pytest.fixture(autouse=True)
@@ -24,15 +16,6 @@ def columnar_backend(monkeypatch):
     """The warm-pool shm path is a columnar feature; pin the backend so the
     suite behaves identically under ``REPRO_TRACE_BACKEND=python``."""
     monkeypatch.setenv("REPRO_TRACE_BACKEND", "columnar")
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_segments():
-    """Every fleet test must leave /dev/shm exactly as it found it — the
-    pool holds segments while open, so tests close pools before exiting."""
-    before = shm_segments()
-    yield
-    assert shm_segments() == before
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,8 @@ network plane's at-least-once/dedup contract.
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 
 from repro.errors import IngestError
@@ -20,11 +22,15 @@ from repro.ingest import (
     TelemetryFeed,
 )
 from repro.net import (
+    FRAME_DATA,
+    FRAME_HELLO,
     ChaosConfig,
     ChaosProxy,
     RecordSender,
     SenderConfig,
     SocketIngestServer,
+    encode_frame,
+    records_to_payload,
 )
 from tests.net.test_socket_transport import burst, drain_all
 from tests.net.test_resume import run_sender
@@ -45,6 +51,26 @@ def run_through_proxy(chaos_config, records=RECORDS, seed=5):
                 TelemetryFeed(server.transport(), FeedConfig())
             )
             return delivered, proxy.stats, server.stats
+
+
+def run_fixed_frames_through_proxy(chaos_config, frames):
+    """Push pre-encoded frames through the proxy from a raw socket.
+
+    No window, no ACK dependence, no resends: the proxy sees exactly
+    ``frames`` on one connection, whatever the timing.  Returns once the
+    proxy has closed the connection, i.e. after it forwarded everything.
+    """
+    with SocketIngestServer(["a", "b"]) as server:
+        with ChaosProxy(server.address, chaos_config) as proxy:
+            with socket.create_connection(proxy.address, timeout=10.0) as sock:
+                sock.sendall(b"".join(frames))
+                sock.shutdown(socket.SHUT_WR)
+                try:
+                    while sock.recv(65536):  # the server's ACKs, unread
+                        pass
+                except ConnectionResetError:
+                    pass
+            return proxy.stats
 
 
 class TestFaultFamilies:
@@ -96,16 +122,22 @@ class TestFaultFamilies:
         assert chaos.faults > 0
 
     def test_same_seed_same_fault_schedule_shape(self):
-        # The per-connection draws are seeded; two runs with the same
-        # seed tear/duplicate at the same frame coordinates, so the
-        # aggregate schedule is reproducible wherever connection
-        # lifetimes are deterministic (no resets/partials involved).
-        _d1, chaos1, _s1 = run_through_proxy(
-            ChaosConfig(dup_prob=0.3, reorder_prob=0.3, seed=7)
-        )
-        _d2, chaos2, _s2 = run_through_proxy(
-            ChaosConfig(dup_prob=0.3, reorder_prob=0.3, seed=7)
-        )
+        # The per-connection draws are seeded by (seed, connection index)
+        # and consumed one per frame, so the same frames on the same
+        # connection get the same faults.  A RecordSender's frame count
+        # depends on ACK timing; a fixed frame sequence does not.
+        frames = [encode_frame(FRAME_HELLO, {"streams": ["a", "b"], "sender": "raw"})]
+        for stream, n in (("a", 600), ("b", 300)):
+            records = burst(stream, n, step_ns=20)
+            frames += [
+                encode_frame(FRAME_DATA, records_to_payload(stream, records[i : i + 8]))
+                for i in range(0, n, 8)
+            ]
+        config = ChaosConfig(dup_prob=0.3, reorder_prob=0.3, seed=7)
+        chaos1 = run_fixed_frames_through_proxy(config, frames)
+        chaos2 = run_fixed_frames_through_proxy(config, frames)
+        assert chaos1.frames == chaos2.frames == len(frames)
+        assert chaos1.dups > 0 and chaos1.reorders > 0
         assert (chaos1.dups, chaos1.reorders) == (chaos2.dups, chaos2.reorders)
 
 
