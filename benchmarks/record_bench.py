@@ -29,20 +29,11 @@ for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
         sys.path.insert(0, entry)
 
 from repro.core.diagnosis import MicroscopeEngine  # noqa: E402
-from repro.core.queuing import QueuingAnalyzer  # noqa: E402
-from repro.core.records import DiagTrace, NFView  # noqa: E402
+from repro.core.records import DiagTrace  # noqa: E402
 from repro.core.streaming import StreamingConfig, StreamingDiagnosis  # noqa: E402
 from repro.core.victims import VictimSelector  # noqa: E402
-from repro.util.rng import generator  # noqa: E402
 from repro.util.timebase import MSEC  # noqa: E402
 from tests.conftest import run_interrupt_chain  # noqa: E402
-
-try:  # numpy backend timings are skipped when numpy is unavailable
-    import numpy  # noqa: E402,F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
 
 #: Seed-repo serial diagnose_all on this exact workload, measured on the
 #: pre-fast-path tree (commit 59828ef's engine) right before the fast
@@ -76,28 +67,6 @@ def timed(fn, repeats: int):
         result = fn()
         best = min(best, time.perf_counter() - start)
     return best, result
-
-
-def synthetic_view(n_packets: int = 240_000) -> NFView:
-    """Deterministic bursty FIFO stream at the ROADMAP-profiled scale.
-
-    ~480k events: the size where the queuing-index build dominated the
-    pre-ISSUE-2 profile.  Service occasionally lags the arrival rate so
-    queues build and drain, exercising the period machinery.
-    """
-    rng = generator(7)
-    gaps = rng.integers(50, 150, size=n_packets)
-    service = rng.integers(40, 220, size=n_packets)
-    arrivals = []
-    reads = []
-    t = 0
-    free = 0
-    for pid in range(n_packets):
-        t += int(gaps[pid])
-        arrivals.append((t, pid))
-        free = max(free, t) + int(service[pid])
-        reads.append((free, pid))
-    return NFView(name="synth", peak_rate_pps=1e7, arrivals=arrivals, reads=reads)
 
 
 def run_periodic_interrupt_chain(
@@ -194,83 +163,6 @@ def bench_service(repeats: int, trace) -> dict:
     }
 
 
-def bench_streaming(repeats: int, trace) -> dict:
-    """Chunked-vs-batch wall time on a multi-chunk trace (ISSUE 2 tentpole).
-
-    Sparse victims (99.9th percentile) over a long recurring-stall trace:
-    diagnosis compute is small, so the per-chunk window re-slicing and
-    index rebuilds the reuse layer eliminates dominate the comparison.
-    ``pr1_rebuild`` pins the pre-ISSUE-2 code path (per-chunk rebuild with
-    the pure-Python queuing index) as the baseline.
-
-    Reuse mode must be bit-identical to batch (hard assertion).  The
-    rebuild modes are *not* expected to match here: recurring stalls keep
-    some queue busy at every candidate window phase, so any fixed margin
-    truncates standing queues at some window starts — the correctness gap
-    the reuse layer closes.  Their equality is recorded, not asserted;
-    truncated periods also mean the baseline does strictly *less* work,
-    so the reported speedups are conservative.
-    """
-    cfg = dict(chunk_ns=3 * MSEC, margin_ns=10 * MSEC)
-    pct = 99.9
-
-    def streaming(reuse: bool, **engine_kwargs) -> StreamingDiagnosis:
-        return StreamingDiagnosis(
-            trace,
-            StreamingConfig(reuse_engine=reuse, **cfg),
-            victim_pct=pct,
-            **engine_kwargs,
-        )
-
-    reuse = streaming(True)
-    victims = reuse._all_victims
-    n_chunks = reuse._end_ns() // cfg["chunk_ns"] + 1
-
-    batch_s, batch_diags = timed(
-        lambda: MicroscopeEngine(trace).diagnose_all(victims), repeats
-    )
-    reuse_s, reuse_diags = timed(reuse.run, repeats)
-    rebuild_s, rebuild_diags = timed(streaming(False).run, repeats)
-    pr1_s, pr1_diags = timed(streaming(False, backend="python").run, repeats)
-
-    reference = canonical_bytes(batch_diags)
-    if canonical_bytes(reuse_diags) != reference:
-        raise SystemExit("FATAL: streaming reuse mode differs from batch")
-    identical = {
-        "reuse": True,
-        "rebuild": canonical_bytes(rebuild_diags) == reference,
-        "pr1_rebuild": canonical_bytes(pr1_diags) == reference,
-    }
-    stats = reuse.engine.cache_stats
-    return {
-        "workload": "periodic-interrupt chain 60ms, 20 interrupts",
-        "config": {
-            "chunk_ns": cfg["chunk_ns"],
-            "margin_ns": cfg["margin_ns"],
-            "victim_pct": pct,
-        },
-        "n_chunks": int(n_chunks),
-        "n_victims": len(victims),
-        "n_packets": len(trace.packets),
-        "timings": {
-            "batch_s": round(batch_s, 6),
-            "reuse_engine_s": round(reuse_s, 6),
-            "rebuild_per_chunk_s": round(rebuild_s, 6),
-            "pr1_rebuild_python_index_s": round(pr1_s, 6),
-        },
-        "speedups": {
-            "reuse_vs_rebuild": round(rebuild_s / reuse_s, 2),
-            "reuse_vs_pr1_rebuild": round(pr1_s / reuse_s, 2),
-        },
-        "cross_chunk": {
-            "cross_chunk_hits": stats.cross_chunk_hits,
-            "carried_entries": stats.carried_entries,
-            "evicted_entries": stats.evicted_entries,
-        },
-        "output_identical_to_batch": identical,
-    }
-
-
 def bench_columnar(repeats: int, trace, threshold_ns: int = 50_000) -> dict:
     """Columnar-core throughput (ISSUE 6).
 
@@ -279,10 +171,7 @@ def bench_columnar(repeats: int, trace, threshold_ns: int = 50_000) -> dict:
     the columns, and serially diagnosing all of them.  Throughput is
     reported in packet-hops/sec over that wall time.
     """
-    cols = trace.columns()
-    if cols is None:
-        return {"skipped": "columnar backend unavailable"}
-    n_hops = int(len(cols.hop_arrival))
+    n_hops = int(len(trace.columns().hop_arrival))
     nf = max(trace.nfs, key=lambda name: len(trace.nfs[name].arrivals))
 
     def end_to_end():
@@ -297,7 +186,6 @@ def bench_columnar(repeats: int, trace, threshold_ns: int = 50_000) -> dict:
         return built, victims, diags
 
     end_to_end_s, (_built, victims, serial_diags) = timed(end_to_end, repeats)
-    reference = canonical_bytes(serial_diags)
     # Work measure: packet-hops the diagnosis actually examined — every
     # buildup packet of every victim period plus every attributed pid
     # across the recursion.  The raw trace size (``n_hops``) understates
@@ -307,35 +195,6 @@ def bench_columnar(repeats: int, trace, threshold_ns: int = 50_000) -> dict:
         + sum(len(c.culprit_pids) for c in d.culprits)
         for d in serial_diags
     )
-
-    # Oracle cross-check: the object backend must produce the same bytes
-    # (and shows what the vectorized core replaced).
-    backend_before = os.environ.get("REPRO_TRACE_BACKEND")
-    os.environ["REPRO_TRACE_BACKEND"] = "python"
-    try:
-        oracle_trace = DiagTrace(
-            packets=trace.packets,
-            nfs=trace.nfs,
-            upstreams=trace.upstreams,
-            sources=trace.sources,
-            nf_types=trace.nf_types,
-            telemetry=trace.telemetry,
-        )
-        oracle_s, oracle_diags = timed(
-            lambda: MicroscopeEngine(oracle_trace).diagnose_all(
-                VictimSelector(oracle_trace).hop_latency_victims_over(
-                    threshold_ns, nf=nf
-                )
-            ),
-            max(1, repeats - 2),
-        )
-    finally:
-        if backend_before is None:
-            os.environ.pop("REPRO_TRACE_BACKEND", None)
-        else:
-            os.environ["REPRO_TRACE_BACKEND"] = backend_before
-    if canonical_bytes(oracle_diags) != reference:
-        raise SystemExit("FATAL: columnar backend differs from python oracle")
 
     return {
         "workload": "interrupt chain 20ms, columnar end-to-end",
@@ -349,11 +208,6 @@ def bench_columnar(repeats: int, trace, threshold_ns: int = 50_000) -> dict:
             "processed_packet_hops": int(processed_hops),
             "processed_packet_hops_per_s": round(processed_hops / end_to_end_s, 1),
             "includes": ["columns build", "victim selection", "serial diagnose_all"],
-        },
-        "oracle": {
-            "python_backend_s": round(oracle_s, 6),
-            "columnar_speedup": round(oracle_s / end_to_end_s, 2),
-            "output_identical": True,
         },
         "cpus": os.cpu_count(),
     }
@@ -377,10 +231,7 @@ def bench_fleet(repeats: int, trace) -> dict:
     from repro.fleet import FleetConfig, FleetSupervisor, PipelineSpec
     from repro.service import DiagnosisService, ServiceConfig
 
-    cols = trace.columns()
-    if cols is None:
-        return {"skipped": "columnar backend unavailable"}
-    n_hops = int(len(cols.hop_arrival))
+    n_hops = int(len(trace.columns().hop_arrival))
     cfg = dict(chunk_ns=3 * MSEC, margin_ns=10 * MSEC, victim_pct=99.9)
     pool_workers = min(8, max(2, os.cpu_count() or 1))
 
@@ -832,43 +683,6 @@ def bench_clock(repeats: int) -> dict:
     }
 
 
-def bench_analyzer_build(repeats: int) -> dict:
-    """Cold/warm QueuingAnalyzer index build, python vs numpy backend."""
-    view = synthetic_view()
-    n_events = len(view.arrivals) + len(view.reads)
-    python_s, py = timed(lambda: QueuingAnalyzer(view, backend="python"), repeats)
-    out = {
-        "n_events": n_events,
-        "timings": {"python_s": round(python_s, 6)},
-        "speedups": {},
-    }
-    if not HAVE_NUMPY:
-        return out
-
-    def cold_build():
-        # Drop the view's cached time arrays: cold includes the
-        # tuple-stream -> int64-array conversion.
-        view._arrival_times = view._read_times = None
-        return QueuingAnalyzer(view, backend="numpy")
-
-    cold_s, np_analyzer = timed(cold_build, repeats)
-    view.arrival_times(), view.read_times()  # prime the cached arrays
-    warm_s, _ = timed(lambda: QueuingAnalyzer(view, backend="numpy"), repeats)
-
-    step = max(1, len(view.arrivals) // 200)
-    for t, pid in view.arrivals[::step]:
-        if py.period_for_arrival(pid, t) != np_analyzer.period_for_arrival(pid, t):
-            raise SystemExit("FATAL: backend outputs differ")
-    out["timings"].update(
-        numpy_cold_s=round(cold_s, 6), numpy_warm_s=round(warm_s, 6)
-    )
-    out["speedups"] = {
-        "numpy_cold_vs_python": round(python_s / cold_s, 2),
-        "numpy_warm_vs_python": round(python_s / warm_s, 2),
-    }
-    return out
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -933,11 +747,6 @@ def main() -> int:
     print("simulating 60 ms periodic-interrupt chain ...", flush=True)
     trace60 = DiagTrace.from_sim_result(run_periodic_interrupt_chain())
 
-    print("benchmarking streaming modes ...", flush=True)
-    streaming = bench_streaming(args.repeats, trace60)
-    print(json.dumps(streaming["timings"], indent=2))
-    print(json.dumps(streaming["speedups"], indent=2))
-
     print("benchmarking service checkpoint overhead ...", flush=True)
     service = bench_service(args.repeats, trace60)
     print(json.dumps(service["timings"], indent=2))
@@ -945,13 +754,11 @@ def main() -> int:
 
     print("benchmarking columnar core ...", flush=True)
     columnar = bench_columnar(args.repeats, trace)
-    if "end_to_end" in columnar:
-        print(json.dumps(columnar["end_to_end"], indent=2))
+    print(json.dumps(columnar["end_to_end"], indent=2))
 
     print("benchmarking fleet execution plane ...", flush=True)
     fleet = bench_fleet(args.repeats, trace60)
-    if "pipeline_scaling" in fleet:
-        print(json.dumps(fleet["pipeline_scaling"], indent=2))
+    print(json.dumps(fleet["pipeline_scaling"], indent=2))
 
     print("benchmarking endurance restart-replay cost ...", flush=True)
     endurance = bench_endurance(args.repeats)
@@ -965,11 +772,6 @@ def main() -> int:
     clock = bench_clock(args.repeats)
     print(json.dumps(clock["per_record_ns"], indent=2))
     print(json.dumps(clock["overhead"], indent=2))
-
-    print("benchmarking analyzer index build ...", flush=True)
-    analyzer_build = bench_analyzer_build(args.repeats)
-    print(json.dumps(analyzer_build["timings"], indent=2))
-    print(json.dumps(analyzer_build["speedups"], indent=2))
 
     fast = timings["serial_memoized_cold_s"]
     record = {
@@ -1001,14 +803,12 @@ def main() -> int:
             "preset_misses": stats.preset_misses,
         },
         "output_identical_across_modes": True,
-        "streaming": streaming,
         "service": service,
         "columnar": columnar,
         "fleet": fleet,
         "endurance": endurance,
         "net": net,
         "clock": clock,
-        "analyzer_build": analyzer_build,
         "environment": {
             "python": platform.python_version(),
             "platform": platform.platform(),

@@ -61,25 +61,15 @@ def heavy_chain():
 
 
 def test_queuing_analyzer_build(benchmark, chain_trace):
+    """The vectorized index build (the ISSUE-2 vectorization target)."""
     view = chain_trace.nfs["vpn1"]
     analyzer = benchmark(lambda: QueuingAnalyzer(view))
     assert analyzer.view is view
 
 
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_queuing_analyzer_build_backend(benchmark, chain_trace, backend):
-    """Index build per backend (the ISSUE-2 vectorization target)."""
-    if backend == "numpy":
-        pytest.importorskip("numpy")
-    view = chain_trace.nfs["vpn1"]
-    analyzer = benchmark(lambda: QueuingAnalyzer(view, backend=backend))
-    assert analyzer.backend == backend
-
-
-@pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "rebuild"])
-def test_streaming_chunked(benchmark, chain_trace, reuse):
-    """Chunked diagnosis wall time: carried engine vs per-chunk rebuild."""
-    config = StreamingConfig(chunk_ns=MSEC, margin_ns=2 * MSEC, reuse_engine=reuse)
+def test_streaming_chunked(benchmark, chain_trace):
+    """Chunked diagnosis wall time, one engine carried across chunks."""
+    config = StreamingConfig(chunk_ns=MSEC, margin_ns=2 * MSEC)
 
     def run():
         return StreamingDiagnosis(chain_trace, config, victim_pct=99.0).run()
@@ -92,7 +82,7 @@ def test_streaming_reuse_matches_batch(chain_trace):
     """Not a timing: the carried engine must reproduce batch output."""
     streaming = StreamingDiagnosis(
         chain_trace,
-        StreamingConfig(chunk_ns=MSEC, margin_ns=2 * MSEC, reuse_engine=True),
+        StreamingConfig(chunk_ns=MSEC, margin_ns=2 * MSEC),
         victim_pct=99.0,
     )
     streamed = streaming.run()

@@ -6,8 +6,6 @@ from repro.core.columnar import (
     ColumnarPathDecomposition,
     TraceColumns,
     attach_trace,
-    columnar_enabled,
-    default_trace_backend,
     share_trace,
 )
 from repro.core.diagnosis import (
@@ -22,9 +20,7 @@ from repro.core.local import LocalScores, local_scores, local_scores_batch
 from repro.core.propagation import (
     EntityShare,
     PathAttribution,
-    PathDecomposition,
     attribute_reductions,
-    make_decomposition,
     propagation_scores,
 )
 from repro.core.queuing import QueuingAnalyzer, QueuingPeriod, periods_from_batches
@@ -46,7 +42,6 @@ __all__ = [
     "ChunkResult",
     "ColumnarPathDecomposition",
     "Culprit",
-    "PathDecomposition",
     "TraceColumns",
     "DiagTrace",
     "EntityShare",
@@ -66,14 +61,11 @@ __all__ = [
     "attach_trace",
     "attribute_reductions",
     "causal_relations",
-    "columnar_enabled",
-    "default_trace_backend",
     "explain",
     "explain_many",
     "format_ranking",
     "local_scores",
     "local_scores_batch",
-    "make_decomposition",
     "periods_from_batches",
     "propagation_scores",
     "rank_of_entity",

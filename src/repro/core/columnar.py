@@ -29,18 +29,17 @@ concatenation of every packet's hop list): ``hop_nf`` (code),
 ``hop_arrival``, ``hop_read``, ``hop_depart``.  Per-NF event streams
 mirror ``NFView``'s sorted tuple lists as parallel time/pid arrays.
 
-Backend contract
-----------------
+Contract
+--------
 
-``REPRO_TRACE_BACKEND`` selects ``auto`` (columnar when numpy is
-available — the default), ``columnar`` (require it) or ``python`` (the
-pure-object oracle).  Every vectorized path computes the same integers
-and IEEE-754 doubles in the same order as the object walk it replaces,
-so diagnosis output is bit-identical across backends — pinned by the
-property tests in ``tests/core/test_columnar.py``.  The object model
-stays authoritative: columns are derived data, and a fresh snapshot is
-built whenever the trace changed since the last one (mutation-counter
-invalidation).  :meth:`TraceColumns.from_trace` flattens the whole trace
+Every vectorized path computes the same integers and IEEE-754 doubles in
+the same order as the object walk it replaced; those walks live on as
+test oracles (``tests/oracles/``), and the property tests in
+``tests/core/test_columnar.py`` pin diagnosis output bit-identical to
+them.  The object model stays authoritative: columns are derived data,
+and a fresh snapshot is built whenever the trace changed since the last
+one (mutation-counter invalidation).
+:meth:`TraceColumns.from_trace` flattens the whole trace
 — the offline constructor and the oracle; a growing
 :class:`~repro.ingest.incremental.IncrementalTrace`, which says which
 packets each mutation touched, gets :meth:`TraceColumns.advanced`
@@ -51,21 +50,17 @@ that changed.
 from __future__ import annotations
 
 import itertools
-import os
 import pickle
 import struct
 import weakref
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.records import DiagTrace, NFView, PacketHop, PacketView
-from repro.errors import DiagnosisError, TraceError
-from repro.nfv.packet import FiveTuple
+import numpy as np
 
-try:  # pragma: no cover - numpy ships with the simulator
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+from repro.core.records import DiagTrace, NFView, PacketHop, PacketView
+from repro.errors import TraceError
+from repro.nfv.packet import FiveTuple
 
 try:  # pragma: no cover - stdlib, but gate for exotic platforms
     from multiprocessing import shared_memory as _shared_memory
@@ -73,38 +68,12 @@ except ImportError:  # pragma: no cover
     _shared_memory = None
 
 
-_BACKENDS = ("auto", "columnar", "python")
-
 #: Victim ``kind`` codes used by the shared-memory victim table.
 KIND_NAMES: Tuple[str, ...] = ("latency", "drop", "throughput")
 KIND_CODES: Dict[str, int] = {name: i for i, name in enumerate(KIND_NAMES)}
 
 _ALIGN = 64  # array alignment inside shared blocks
 _HEADER = struct.Struct("<Q")  # manifest length prefix
-
-
-def default_trace_backend() -> str:
-    """Process-wide trace backend (``REPRO_TRACE_BACKEND`` or auto)."""
-    backend = os.environ.get("REPRO_TRACE_BACKEND", "auto")
-    if backend not in _BACKENDS:
-        raise DiagnosisError(
-            f"REPRO_TRACE_BACKEND must be one of {_BACKENDS}, got {backend!r}"
-        )
-    return backend
-
-
-def columnar_enabled() -> bool:
-    """Whether vectorized paths should run (backend knob + numpy)."""
-    backend = default_trace_backend()
-    if backend == "python":
-        return False
-    if backend == "columnar":
-        if np is None:
-            raise DiagnosisError(
-                "REPRO_TRACE_BACKEND=columnar requested but numpy is absent"
-            )
-        return True
-    return np is not None
 
 
 class NFColumns:
@@ -653,12 +622,9 @@ def share_trace(trace: DiagTrace):
     """Copy a trace's columns (plus object metadata) into a shared block.
 
     Returns the open :class:`SharedMemory`; pass ``.name`` to workers and
-    close+unlink it when they are done.  Raises :class:`TraceError` when
-    the trace has no columnar backend.
+    close+unlink it when they are done.
     """
     cols = trace.columns()
-    if cols is None:
-        raise TraceError("share_trace requires the columnar backend")
     meta = {
         "nf_names": cols.nf_names,
         "source_names": cols.source_names,
@@ -737,8 +703,8 @@ class ColumnarNFView:
     """NFView twin backed by column arrays.
 
     The sorted tuple lists (``arrivals`` and friends) materialize lazily —
-    only legacy object paths (e.g. the pure-Python queuing backend) touch
-    them; every fast path reads the arrays.
+    only object walks (e.g. the test oracles) touch them; every fast path
+    reads the arrays.
     """
 
     def __init__(self, name: str, peak_rate_pps: float, cols: NFColumns) -> None:
@@ -953,10 +919,12 @@ def _prefix_append(column: _GrowColumn, values, op) -> None:
 class _ColumnGroup:
     """One path's PreSet members with prefix extents in numpy columns.
 
-    Interface-compatible with :class:`repro.core.propagation._PathGroup`
-    (``path``/``pids``/``prefix_count``/``spans``/``first_at``); extents
-    are appended in batch with ``minimum``/``maximum`` accumulates, so
-    extending by a suffix of *b* members costs O(b · hops) C-level work.
+    ``positions[i]`` is the i-th member's index in the full PreSet stream;
+    the extent columns hold running mins/maxes over members ``0..i``, so
+    any PreSet prefix's timespans read off in O(1) after a bisect on
+    ``positions``.  Extents are appended in batch with
+    ``minimum``/``maximum`` accumulates, so extending by a suffix of *b*
+    members costs O(b · hops) C-level work.
     """
 
     __slots__ = (
@@ -1097,22 +1065,20 @@ class _ColumnGroup:
 
 
 class ColumnarPathDecomposition:
-    """Vectorized :class:`~repro.core.propagation.PathDecomposition`.
+    """Path grouping of one NF's PreSet stream, reusable across prefixes.
 
-    Same contract — consume PreSet pids in arrival order, answer prefix
-    queries — but member data is gathered from the hop table and prefix
-    extents are maintained as accumulate columns.  Grouping still walks
-    pids in Python (paths are per-packet), yet touches only array scalars:
-    no ``PacketView``/``PacketHop`` is ever materialized.
+    Built (and extended) by consuming PreSet pids in arrival order; any
+    victim whose PreSet is a prefix of the consumed stream queries it
+    without re-walking packets.  Member data is gathered from the hop
+    table and prefix extents are maintained as accumulate columns.
+    Grouping still walks pids in Python (paths are per-packet), yet
+    touches only array scalars: no ``PacketView``/``PacketHop`` is ever
+    materialized.
     """
 
-    def __init__(self, trace: DiagTrace, victim_nf: str, cols=None) -> None:
-        if cols is None:
-            cols = trace.columns()
-        if cols is None:
-            raise TraceError("ColumnarPathDecomposition requires columns")
+    def __init__(self, trace: DiagTrace, victim_nf: str) -> None:
         self.trace = trace
-        self.cols = cols
+        self.cols = cols = trace.columns()
         self.victim_nf = victim_nf
         self._victim_code = cols.nf_code.get(victim_nf)
         self._groups: Dict[Tuple[int, bytes], _ColumnGroup] = {}
@@ -1166,11 +1132,19 @@ class ColumnarPathDecomposition:
             self._groups[key].add_batch(cols, b_pids, b_pos, b_start, b_rows)
 
     def ensure(self, preset_pids: Sequence[int]) -> int:
+        """Consume any PreSet suffix not yet seen; return the prefix length.
+
+        The caller guarantees ``preset_pids`` extends the stream consumed
+        so far (true for queuing periods: a later victim's PreSet is a
+        strict extension of an earlier victim's).
+        """
         if len(preset_pids) > self.consumed:
             self.extend(preset_pids[self.consumed :])
         return len(preset_pids)
 
     def prefix_groups(self, m: int) -> List[Tuple[_ColumnGroup, int]]:
+        """(group, member-count) pairs with >= 1 member in the length-``m``
+        prefix, in first-occurrence order."""
         result: List[Tuple[_ColumnGroup, int]] = []
         for group in self._order:
             k = group.prefix_count(m)
@@ -1199,7 +1173,7 @@ class SharedTraceCache:
     ``diagnose_all`` is wasted work when the trace has not changed between
     calls (the overwhelmingly common case for a service diagnosing chunk
     after chunk of one trace).  This cache keys the segment on the trace's
-    mutation counter, exactly like the engine's columns cache: an
+    mutation counter, exactly like the trace's own columns cache: an
     unchanged trace reuses the same named block, a mutated trace (live
     ingest grew it) retires the old segment and shares a fresh generation.
 
@@ -1248,4 +1222,4 @@ class SharedTraceCache:
 
 
 def shm_available() -> bool:
-    return _shared_memory is not None and np is not None
+    return _shared_memory is not None

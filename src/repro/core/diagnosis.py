@@ -22,8 +22,8 @@ buildup repeat each other's work — recursion converges on identical
 upstream periods, and depth-0 PreSets of later victims extend earlier
 victims' PreSets.  The engine therefore memoizes per-period local scores,
 PreSets (inside :class:`QueuingAnalyzer`), and path decompositions
-(:class:`PathDecomposition`, keyed by ``(nf, first_arrival_idx)`` so any
-PreSet prefix of the same buildup reuses one walk).  Memoization is
+(:class:`ColumnarPathDecomposition`, keyed by ``(nf, first_arrival_idx)``
+so any PreSet prefix of the same buildup reuses one walk).  Memoization is
 result-invariant: every mode computes through the same code path, so
 culprit lists are bit-identical with it on or off.
 
@@ -45,12 +45,11 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core.columnar import ColumnarPathDecomposition
 from repro.core.local import LocalScores, local_scores, local_scores_batch
 from repro.core.propagation import (
     EntityShare,
     PathAttribution,
-    PathDecomposition,
-    make_decomposition,
     propagation_scores,
 )
 from repro.core.queuing import QueuingAnalyzer, QueuingPeriod
@@ -204,7 +203,6 @@ class MicroscopeEngine:
         min_score: float = 1e-3,
         queue_threshold: int = 0,
         memoize: bool = True,
-        backend: Optional[str] = None,
     ) -> None:
         if max_depth < 1:
             raise DiagnosisError(f"max_depth must be >= 1, got {max_depth}")
@@ -212,15 +210,13 @@ class MicroscopeEngine:
         self.max_depth = max_depth
         self.min_score = min_score
         self.memoize = memoize
-        #: Queuing index backend ("auto" | "numpy" | "python"); see queuing.py.
-        self.backend = backend
         self._analyzers: Dict[str, QueuingAnalyzer] = {}
         self._queue_threshold = queue_threshold
         # Period-keyed memo layers (see module docstring).
         self._local_cache: Dict[QueuingPeriod, LocalScores] = {}
         self._local_hits = 0
         self._local_misses = 0
-        self._decomps: Dict[Tuple[str, int], PathDecomposition] = {}
+        self._decomps: Dict[Tuple[str, int], ColumnarPathDecomposition] = {}
         self._decomp_hits = 0
         self._decomp_misses = 0
         # Cross-chunk state (streaming reuse; see advance_chunk): entries are
@@ -238,23 +234,9 @@ class MicroscopeEngine:
         self._auto_serial = 0
         self._auto_parallel = 0
         #: Dispatch telemetry of the most recent parallel ``diagnose_all``:
-        #: ``{"mode": "shm" | "pickle", "payload_bytes_per_task": int | None,
+        #: ``{"mode": "shm" | "serial", "payload_bytes_per_task": int | None,
         #: "inline_shards": int}``, written by ``WorkerPool.diagnose``.
         self.last_dispatch: Optional[Dict[str, object]] = None
-        # trace.columns() re-reads REPRO_TRACE_BACKEND on every call (so
-        # env switches are honoured between runs); the per-victim hot path
-        # caches the resolution here, keyed on the trace's mutation
-        # counter so live ingest still invalidates it.
-        self._cols_cache = None
-        self._cols_mutations = -1
-
-    def _columns(self):
-        """Cached ``self.trace.columns()`` (see ``_cols_cache`` above)."""
-        mutations = self.trace._mutations
-        if self._cols_mutations != mutations:
-            self._cols_cache = self.trace.columns()
-            self._cols_mutations = mutations
-        return self._cols_cache
 
     @property
     def cache_stats(self) -> CacheStats:
@@ -323,7 +305,6 @@ class MicroscopeEngine:
                 view,
                 threshold=self._queue_threshold,
                 cache_presets=self.memoize,
-                backend=self.backend,
             )
             cached.generation = self._chunk_generation
             self._analyzers[nf] = cached
@@ -415,22 +396,27 @@ class MicroscopeEngine:
         self._local_gen[period] = self._chunk_generation
         return scores
 
+    def _new_decomposition(self, nf: str) -> ColumnarPathDecomposition:
+        """A fresh path decomposition for PreSets at ``nf`` — kept apart so
+        the test oracle engine can substitute the reference object walk."""
+        return ColumnarPathDecomposition(self.trace, nf)
+
     def _decomposition(
         self, nf: str, period: QueuingPeriod
-    ) -> Optional[PathDecomposition]:
-        """Shared path decomposition for one queue buildup, or None.
+    ) -> ColumnarPathDecomposition:
+        """The path decomposition for one queue buildup.
 
-        Keyed by ``(nf, first_arrival_idx)``: every victim of the same
-        buildup sees a PreSet that extends earlier victims', so one
-        decomposition serves them all via prefix queries.
+        Shared when memoizing, keyed by ``(nf, first_arrival_idx)``: every
+        victim of the same buildup sees a PreSet that extends earlier
+        victims', so one decomposition serves them all via prefix queries.
         """
         if not self.memoize:
-            return None
+            return self._new_decomposition(nf)
         key = (nf, period.first_arrival_idx)
         decomp = self._decomps.get(key)
         if decomp is None:
             self._decomp_misses += 1
-            decomp = make_decomposition(self.trace, nf, cols=self._columns())
+            decomp = self._new_decomposition(nf)
             self._decomps[key] = decomp
             self._decomp_gen[key] = self._chunk_generation
         else:
@@ -571,7 +557,6 @@ class MicroscopeEngine:
             self.min_score,
             self._queue_threshold,
             self.memoize,
-            self.backend,
         )
 
     def record_worker_failure(self, timed_out: bool = False) -> None:
@@ -593,11 +578,8 @@ class MicroscopeEngine:
         local scores are additionally computed as one vectorized batch
         (:func:`local_scores_batch`, bit-identical to scalar calls) and
         seeded into the memo under the same miss accounting the per-victim
-        path would have charged.  Skipped entirely on the object (oracle)
-        backend.
+        path would have charged.
         """
-        if self._columns() is None:
-            return
         by_nf: Dict[str, List[Tuple[int, int]]] = {}
         for victim in victims:
             if victim.kind == "drop" or victim.nf not in self.trace.nfs:
@@ -810,22 +792,11 @@ class MicroscopeEngine:
     def _first_preset_arrival(
         self, nf: str, pids: Sequence[int]
     ) -> Optional[Tuple[int, int]]:
-        cols = self._columns()
-        if cols is not None:
-            code = cols.nf_code.get(nf)
-            return None if code is None else cols.first_preset_arrival(code, pids)
-        best: Optional[Tuple[int, int]] = None
-        packets = self.trace.packets
-        for pid in pids:
-            packet = packets.get(pid)
-            if packet is None:
-                continue
-            hop = packet.hop_at(nf)
-            if hop is None:
-                continue
-            if best is None or hop.arrival_ns < best[1]:
-                best = (pid, hop.arrival_ns)
-        return best
+        """Earliest ``(pid, arrival_ns)`` among ``pids`` at ``nf``, ties to
+        the first pid in ``pids`` order; None when none of them arrived."""
+        cols = self.trace.columns()
+        code = cols.nf_code.get(nf)
+        return None if code is None else cols.first_preset_arrival(code, pids)
 
     def _earliest_emit(self, pids: Sequence[int], fallback_ns: int) -> int:
         """Earliest emit time among ``pids``, or ``fallback_ns``.
@@ -835,16 +806,8 @@ class MicroscopeEngine:
         would put the culprit at the epoch and wreck time-gap statistics,
         so the victim's own arrival time stands in instead.
         """
-        cols = self._columns()
-        if cols is not None:
-            earliest = cols.earliest_emit(pids)
-            return fallback_ns if earliest is None else earliest
-        times = [
-            self.trace.packets[pid].emitted_ns
-            for pid in pids
-            if pid in self.trace.packets
-        ]
-        return min(times) if times else fallback_ns
+        earliest = self.trace.columns().earliest_emit(pids)
+        return fallback_ns if earliest is None else earliest
 
 
 # -- compact worker wire format ----------------------------------------------

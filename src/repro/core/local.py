@@ -19,13 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+import numpy as _np
+
 from repro.core.queuing import QueuingPeriod
 from repro.errors import DiagnosisError
-
-try:  # pragma: no cover - numpy ships with the simulator
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 
 @dataclass(frozen=True)
@@ -80,12 +77,12 @@ def local_scores_batch(
 
     Each elementwise float64 op (multiply, divide, subtract, min/max
     clamp) mirrors the scalar expression structure exactly, so results are
-    IEEE-754 bit-identical to per-period calls — pinned by the backend
-    parity tests.  Falls back to per-period calls without numpy.
+    IEEE-754 bit-identical to per-period calls — pinned by the oracle
+    parity tests.
     """
     if peak_rate_pps <= 0:
         raise DiagnosisError(f"peak rate must be positive: {peak_rate_pps}")
-    if _np is None or len(periods) < 2:
+    if len(periods) < 2:
         return [local_scores(period, peak_rate_pps) for period in periods]
     n = len(periods)
     length = _np.fromiter((p.length_ns for p in periods), _np.float64, count=n)

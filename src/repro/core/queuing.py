@@ -11,43 +11,24 @@ drain.  ``periods_from_batches`` additionally implements the paper's
 deployable heuristic: a batch read smaller than the maximum burst size
 means the queue was just drained.
 
-Backends: the event index is built either by a vectorized numpy pass
-(merge via ``lexsort``, cumulative arrival/read counters, run-start
-detection for period boundaries) or by the original pure-Python loop.
-Both produce the same parallel per-event/per-arrival sequences, so every
-query is backend-agnostic and the outputs are bit-identical; ``backend=``
-selects explicitly, ``"auto"`` (the default, overridable through the
-``REPRO_QUEUING_BACKEND`` environment variable) prefers numpy when
-available.  The numpy pass is what makes cold engine construction cheap
-enough for streaming re-use (ISSUE 2).
+The event index is built by one vectorized numpy pass (merge via
+``lexsort``, cumulative arrival/read counters, run-start detection for
+period boundaries).  The event-by-event Python loop it replaced is the
+test oracle (``tests/oracles/queuing.py``): both produce the same seven
+parallel per-event/per-arrival sequences, so every query answers
+identically from either.
 """
 
 from __future__ import annotations
 
 import bisect
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.core.records import NFView
 from repro.errors import DiagnosisError
-
-try:  # pragma: no cover - exercised via the backend knob either way
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the simulator
-    _np = None
-
-_BACKENDS = ("auto", "numpy", "python")
-
-
-def default_backend() -> str:
-    """The process-wide backend choice (``REPRO_QUEUING_BACKEND`` or auto)."""
-    backend = os.environ.get("REPRO_QUEUING_BACKEND", "auto")
-    if backend not in _BACKENDS:
-        raise DiagnosisError(
-            f"REPRO_QUEUING_BACKEND must be one of {_BACKENDS}, got {backend!r}"
-        )
-    return backend
 
 
 @dataclass(frozen=True)
@@ -87,12 +68,11 @@ class QueuingPeriod:
 class QueuingAnalyzer:
     """Per-NF queuing-period index over one :class:`NFView`.
 
-    The index is a set of parallel sequences (list or ndarray, depending
-    on the backend) — per merged event: time, queue length after the
-    event, current period's first-arrival index (-1 when the queue is at
-    or below the threshold), cumulative arrival and read counts; and per
-    arrival: the pre-arrival period index and read count.  Queries only
-    ever read single elements, so both backends answer identically.
+    The index is seven parallel int64 arrays — per merged event: time,
+    queue length after the event, current period's first-arrival index
+    (-1 when the queue is at or below the threshold), cumulative arrival
+    and read counts; and per arrival: the pre-arrival period index and
+    read count.
     """
 
     def __init__(
@@ -100,7 +80,6 @@ class QueuingAnalyzer:
         view: NFView,
         threshold: int = 0,
         cache_presets: bool = True,
-        backend: Optional[str] = None,
     ) -> None:
         if threshold < 0:
             raise DiagnosisError(f"queue threshold must be >= 0, got {threshold}")
@@ -120,76 +99,13 @@ class QueuingAnalyzer:
         # results here; period_for_arrival consumes a hint before falling
         # back to the per-arrival lookup.  Values may be None (no period).
         self._period_hints: Dict[Tuple[int, int], Optional[QueuingPeriod]] = {}
-        if backend is None:
-            backend = default_backend()
-        if backend not in _BACKENDS:
-            raise DiagnosisError(
-                f"backend must be one of {_BACKENDS}, got {backend!r}"
-            )
-        if backend == "numpy" and _np is None:
-            raise DiagnosisError("backend='numpy' requested but numpy is absent")
-        self.backend = (
-            "numpy" if backend == "numpy" or (backend == "auto" and _np is not None)
-            else "python"
-        )
-        if self.backend == "numpy":
-            self._build_index_numpy()
-        else:
-            self._build_index_python()
+        self._build_index()
 
     # -- index construction ------------------------------------------------------
 
-    def _build_index_python(self) -> None:
-        """Reference implementation: one Python pass over the merged events."""
-        view = self.view
-        # Merged events: (time, kind, stream index); arrivals (kind 0) sort
-        # before reads (kind 1) at equal timestamps, matching the simulator's
-        # enqueue-then-read ordering within one nanosecond.
-        events: List[Tuple[int, int, int]] = [
-            (t, 0, i) for i, (t, _pid) in enumerate(view.arrivals)
-        ] + [(t, 1, i) for i, (t, _pid) in enumerate(view.reads)]
-        events.sort()
-        times: List[int] = []
-        ev_qlen: List[int] = []
-        ev_first: List[int] = []
-        ev_arrivals: List[int] = []
-        ev_reads: List[int] = []
-        arr_pre_first: List[int] = [-1] * len(view.arrivals)
-        arr_reads_before: List[int] = [0] * len(view.arrivals)
-        qlen = 0
-        period_first = -1
-        arrivals_seen = 0
-        reads_seen = 0
-        for time_ns, kind, idx in events:
-            if kind == 0:
-                # Pre-arrival state: the victim's own arrival is not part of
-                # the period it observes.
-                arr_pre_first[idx] = period_first
-                arr_reads_before[idx] = reads_seen
-                qlen += 1
-                arrivals_seen += 1
-                if qlen == self.threshold + 1 and period_first == -1:
-                    period_first = idx
-            else:
-                qlen -= 1
-                reads_seen += 1
-                if qlen <= self.threshold:
-                    period_first = -1
-            times.append(time_ns)
-            ev_qlen.append(qlen)
-            ev_first.append(period_first)
-            ev_arrivals.append(arrivals_seen)
-            ev_reads.append(reads_seen)
-        self._times = times
-        self._ev_qlen = ev_qlen
-        self._ev_first = ev_first
-        self._ev_arrivals = ev_arrivals
-        self._ev_reads = ev_reads
-        self._arr_pre_first = arr_pre_first
-        self._arr_reads_before = arr_reads_before
-
-    def _build_index_numpy(self) -> None:
-        """Vectorized index build; output matches the Python loop exactly.
+    def _build_index(self) -> None:
+        """Vectorized index build; output matches the event-by-event loop
+        (``tests/oracles/queuing.py``) exactly.
 
         The per-event scan state reduces to cumulative sums: queue length
         is ``cumsum(+1/-1)``, and ``period_first != -1`` exactly when the
@@ -218,7 +134,7 @@ class QueuingAnalyzer:
         kinds[:n_arr] = 0
         kinds[n_arr:] = 1
         # Stable sort by (time, kind): each stream is already time-sorted,
-        # so ties keep stream order — identical to events.sort() above.
+        # so ties keep stream order — identical to sorting the event tuples.
         order = _np.lexsort((kinds, times))
         times = times[order]
         is_arrival = order < n_arr
@@ -292,10 +208,9 @@ class QueuingAnalyzer:
         callers — ``diagnose_all``'s recursion-frontier prefill — keep the
         per-victim call sites and the memo accounting unchanged.  Each
         constructed period is integer-identical to the per-arrival path:
-        both gather the same index entries.  No-op on the Python backend
-        (there is nothing to vectorize).
+        both gather the same index entries.
         """
-        if self.backend != "numpy" or not pairs:
+        if not pairs:
             return
         n = len(pairs)
         idxs = _np.fromiter(
@@ -372,18 +287,9 @@ class QueuingAnalyzer:
                     self.preset_cross_hits += 1
                 return cached
             self.preset_misses += 1
-        pid_array = self.view.arrival_pids() if _np is not None else None
-        if pid_array is not None:
-            preset = pid_array[
-                period.first_arrival_idx : period.last_arrival_idx
-            ].tolist()
-        else:
-            preset = [
-                pid
-                for _t, pid in self.view.arrivals[
-                    period.first_arrival_idx : period.last_arrival_idx
-                ]
-            ]
+        preset = self.view.arrival_pids()[
+            period.first_arrival_idx : period.last_arrival_idx
+        ].tolist()
         if self.cache_presets:
             self._preset_cache[key] = preset
             self._preset_gen[key] = self.generation

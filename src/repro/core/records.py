@@ -16,16 +16,13 @@ import bisect
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as _np
+
 from repro.errors import TraceError
 from repro.nfv.packet import FiveTuple
 
 if TYPE_CHECKING:  # avoid a runtime core -> collector import
     from repro.collector.health import TelemetryHealth
-
-try:  # numpy is optional for the diagnosis core (see queuing backends)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the simulator
-    _np = None
 
 
 @dataclass(frozen=True)
@@ -144,10 +141,10 @@ class NFView:
         default=None, repr=False, compare=False
     )
     _pid_arrival_len: int = field(default=-1, repr=False, compare=False)
-    # Lazy int64 time arrays per stream (numpy only); length-invalidated
-    # like the pid index.  The queuing analyzer's vectorized build reads
-    # these, so rebuilding an analyzer over the same view — the per-chunk
-    # streaming case — skips the tuple-to-array conversion entirely.
+    # Lazy int64 time arrays per stream; length-invalidated like the pid
+    # index.  The queuing analyzer's vectorized build reads these, so
+    # rebuilding an analyzer over the same view skips the tuple-to-array
+    # conversion entirely.
     _arrival_times: Optional[object] = field(default=None, repr=False, compare=False)
     _read_times: Optional[object] = field(default=None, repr=False, compare=False)
     _arrival_pids: Optional[object] = field(default=None, repr=False, compare=False)
@@ -162,10 +159,8 @@ class NFView:
             self._pid_arrival_len = len(self.arrivals)
         return self._pid_arrival
 
-    def arrival_times(self) -> Optional[object]:
-        """Cached int64 array of arrival timestamps, or None without numpy."""
-        if _np is None:
-            return None
+    def arrival_times(self):
+        """Cached int64 array of arrival timestamps."""
         if self._arrival_times is None or len(self._arrival_times) != len(
             self.arrivals
         ):
@@ -176,10 +171,8 @@ class NFView:
             )
         return self._arrival_times
 
-    def read_times(self) -> Optional[object]:
-        """Cached int64 array of read timestamps, or None without numpy."""
-        if _np is None:
-            return None
+    def read_times(self):
+        """Cached int64 array of read timestamps."""
         if self._read_times is None or len(self._read_times) != len(self.reads):
             self._read_times = _np.fromiter(
                 (t for t, _pid in self.reads),
@@ -188,10 +181,8 @@ class NFView:
             )
         return self._read_times
 
-    def arrival_pids(self) -> Optional[object]:
+    def arrival_pids(self):
         """Cached int64 array of arrival pids, aligned with arrival_times()."""
-        if _np is None:
-            return None
         if self._arrival_pids is None or len(self._arrival_pids) != len(
             self.arrivals
         ):
@@ -202,10 +193,8 @@ class NFView:
             )
         return self._arrival_pids
 
-    def read_pids(self) -> Optional[object]:
+    def read_pids(self):
         """Cached int64 array of read pids, aligned with read_times()."""
-        if _np is None:
-            return None
         if self._read_pids is None or len(self._read_pids) != len(self.reads):
             self._read_pids = _np.fromiter(
                 (pid for _t, pid in self.reads),
@@ -294,7 +283,7 @@ class DiagTrace:
             view.departs.sort()
             view.drops.sort()
 
-    # -- columnar backend ----------------------------------------------------
+    # -- columnar twin -------------------------------------------------------
 
     #: What changed since the cached columns were built, or None when
     #: that is unknown — no build yet, a bare ``_mark_mutated()``, a
@@ -331,23 +320,18 @@ class DiagTrace:
             delta.attributed += 1
 
     def columns(self):
-        """This trace's :class:`~repro.core.columnar.TraceColumns`, or None.
+        """This trace's :class:`~repro.core.columnar.TraceColumns`.
 
-        Returns None when ``REPRO_TRACE_BACKEND=python`` or numpy is
-        missing — callers fall back to the object walk (the oracle path).
         The build is cached; after mutations a fresh snapshot is built,
         incrementally from the previous one when every mutation since was
         attributed to a pid (see ``TraceColumns.advanced``).
         """
-        from repro.core import columnar
-
-        if not columnar.columnar_enabled():
-            self._delta = None  # nobody will drain it: stop tracking
-            return None
         if (
             self._columns_cache is None
             or self._columns_built_at != self._mutations
         ):
+            from repro.core import columnar
+
             previous, delta = self._columns_cache, self._delta
             advanced = None
             if (
@@ -372,8 +356,8 @@ class DiagTrace:
 
     def __getstate__(self):
         # Columns and the incremental bookkeeping are derived data; keep
-        # pickles and deep copies (the non-shm parallel fallback, test
-        # twins) from shipping them — a copy starts from a full build.
+        # pickles and deep copies (test twins) from shipping them — a copy
+        # starts from a full build.
         state = self.__dict__.copy()
         state["_columns_cache"] = None
         state["_columns_built_at"] = -1

@@ -1,35 +1,21 @@
 """Chunked (bounded-memory) online diagnosis.
 
 The paper's offline stage analyses a whole trace at once; production runs
-are long, so this module processes the trace in time chunks.  Two chunk
-engines are provided:
+are long, so this module processes the trace in time chunks.  One
+:class:`MicroscopeEngine` is carried across chunks.  Diagnosis only ever
+looks backwards in time, so analyzers, path decompositions and
+local-score/PreSet memo entries built for earlier chunks stay valid for
+later ones; at each chunk boundary the engine's generation advances and
+memo entries whose queuing periods ended behind the lookback window are
+evicted (``MicroscopeEngine.advance_chunk``), which bounds memo memory
+while the carried rest keeps re-indexing cost at zero.  Because nothing
+the diagnosis reads is ever truncated, the concatenated output is
+bit-identical to batch ``diagnose_all`` for any chunk size — the margin
+(the lookback the paper's Figure 15 bounds) only tunes memo retention.
 
-* **engine reuse** (``StreamingConfig.reuse_engine=True``, the default):
-  one :class:`MicroscopeEngine` is carried across chunks.  Diagnosis only
-  ever looks backwards in time, so analyzers, path decompositions and
-  local-score/PreSet memo entries built for earlier chunks stay valid for
-  later ones; at each chunk boundary the engine's generation advances and
-  memo entries whose queuing periods ended behind the lookback window are
-  evicted (``MicroscopeEngine.advance_chunk``), which bounds memo memory
-  while the carried rest keeps re-indexing cost at zero.  Because nothing
-  the diagnosis reads is ever truncated, the concatenated output is
-  bit-identical to batch ``diagnose_all`` for any chunk size — the margin
-  only tunes memo retention.
-
-* **per-chunk rebuild** (``reuse_engine=False``, the original mode): each
-  chunk diagnoses against a margin-extended sub-trace built by
-  ``_sub_trace`` — per-NF streams are bisect-sliced out of the sorted
-  views and packets come from a sorted interval index, so the cost is
-  O(window), not O(trace).  Windows are seeded with the standing queue at
-  the boundary (pre-window arrivals still unread when the window opens),
-  so a chunk starting mid-buildup keeps the queue it inherited.  With a
-  sufficient margin the result equals batch diagnosis; an insufficient
-  margin truncates queuing periods (the knob the paper's Figure 15
-  bounds).
-
-Both modes flag *margin-too-small* victims per chunk: queuing periods
-that reach at or behind the lookback boundary, i.e. victims the rebuild
-mode would (or did) truncate.
+Each chunk flags its *margin-too-small* victims: queuing periods that
+start behind the lookback boundary, i.e. victims a trace truncated to the
+window would have lost evidence for.
 
 In this reproduction the full trace exists in memory; the value is the
 algorithmic structure plus the equivalence property the tests pin.  A
@@ -41,10 +27,10 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.core.diagnosis import MicroscopeEngine, VictimDiagnosis
-from repro.core.records import DiagTrace, NFView, PacketView
+from repro.core.records import DiagTrace
 from repro.core.victims import Victim, VictimSelector
 from repro.errors import DiagnosisError
 
@@ -54,131 +40,16 @@ class StreamingConfig:
     """Chunking parameters."""
 
     chunk_ns: int = 50_000_000
-    #: Lookback margin: how much earlier data each chunk can see.  In
-    #: rebuild mode it must exceed the longest culprit-to-victim gap
-    #: (Figure 15) to match batch results exactly; in reuse mode it only
-    #: controls how long memo entries are retained.
+    #: Lookback margin: how long memo entries are retained behind each
+    #: chunk, and the boundary ``ChunkResult.margin_exceeded`` counts
+    #: against.  Results are exact for any margin.
     margin_ns: int = 100_000_000
-    #: Carry one engine (analyzers + memo caches) across chunks instead of
-    #: rebuilding per chunk.  Reuse is exact for any margin and far faster;
-    #: rebuild preserves the PR-1 bounded-sub-trace semantics.
-    reuse_engine: bool = True
 
     def __post_init__(self) -> None:
         if self.chunk_ns <= 0:
             raise DiagnosisError(f"chunk size must be positive: {self.chunk_ns}")
         if self.margin_ns < 0:
             raise DiagnosisError(f"margin must be >= 0: {self.margin_ns}")
-
-
-class _PacketWindowIndex:
-    """Packets sorted by first activity, for O(log n + out) window queries.
-
-    ``_sub_trace`` used to recompute every packet's activity interval per
-    chunk; this index computes the intervals once and answers "any activity
-    in [start, end)" with a bisect over first-activity times plus a scan of
-    that prefix.
-    """
-
-    def __init__(self, trace: DiagTrace) -> None:
-        entries: List[Tuple[int, int, int]] = []  # (first, last, pid)
-        for pid, packet in trace.packets.items():
-            first = packet.emitted_ns
-            last = packet.exited_ns if packet.exited_ns >= 0 else packet.dropped_ns
-            if last < 0:
-                last = max((h.depart_ns for h in packet.hops), default=first)
-            entries.append((first, last, pid))
-        entries.sort()
-        self._firsts = [e[0] for e in entries]
-        self._entries = entries
-
-    def pids_active(self, start_ns: int, end_ns: int) -> List[int]:
-        """Pids with activity intersecting [start, end)."""
-        hi = bisect.bisect_left(self._firsts, end_ns)
-        return [pid for _first, last, pid in self._entries[:hi] if last >= start_ns]
-
-
-def _slice_stream(
-    stream: List[Tuple[int, int]], start_ns: int, end_ns: int
-) -> List[Tuple[int, int]]:
-    """Events with start <= t < end, sliced out of a time-sorted stream.
-
-    ``(t,)`` compares below ``(t, pid)`` for every pid, so a one-element
-    tuple bisects to the first event at or after ``t``.
-    """
-    lo = bisect.bisect_left(stream, (start_ns,))
-    hi = bisect.bisect_left(stream, (end_ns,))
-    return stream[lo:hi]
-
-
-def _standing_arrivals(
-    view: NFView, start_ns: int
-) -> List[Tuple[int, int]]:
-    """Pre-window arrivals of packets still queued at ``start_ns``.
-
-    A queue is FIFO, so reads before the boundary consume the earliest
-    arrivals first; whatever arrivals remain unconsumed are the standing
-    queue the window boundary would otherwise amputate.
-    """
-    reads_before: Dict[int, int] = {}
-    for t, pid in view.reads:
-        if t >= start_ns:
-            break
-        reads_before[pid] = reads_before.get(pid, 0) + 1
-    standing: List[Tuple[int, int]] = []
-    for t, pid in view.arrivals:
-        if t >= start_ns:
-            break
-        pending = reads_before.get(pid, 0)
-        if pending:
-            reads_before[pid] = pending - 1
-        else:
-            standing.append((t, pid))
-    return standing
-
-
-def _sub_trace(
-    trace: DiagTrace,
-    start_ns: int,
-    end_ns: int,
-    index: Optional[_PacketWindowIndex] = None,
-    seed_queue: bool = False,
-) -> DiagTrace:
-    """Restrict a trace to packets with any activity inside [start, end).
-
-    ``seed_queue=True`` additionally carries the standing queue across the
-    window boundary: arrivals before ``start_ns`` whose reads happen at or
-    after it are kept, so a window opening mid-buildup sees the queue it
-    inherited instead of an empty one (the rebuild-mode streaming fix).
-    """
-    if index is None:
-        index = _PacketWindowIndex(trace)
-    packets: Dict[int, PacketView] = {
-        pid: trace.packets[pid] for pid in index.pids_active(start_ns, end_ns)
-    }
-    nfs: Dict[str, NFView] = {}
-    for name, view in trace.nfs.items():
-        arrivals = _slice_stream(view.arrivals, start_ns, end_ns)
-        if seed_queue and start_ns > 0:
-            standing = _standing_arrivals(view, start_ns)
-            if standing:
-                arrivals = standing + arrivals
-        nfs[name] = NFView(
-            name=name,
-            peak_rate_pps=view.peak_rate_pps,
-            arrivals=arrivals,
-            reads=_slice_stream(view.reads, start_ns, end_ns),
-            departs=_slice_stream(view.departs, start_ns, end_ns),
-            drops=_slice_stream(view.drops, start_ns, end_ns),
-        )
-    return DiagTrace(
-        packets=packets,
-        nfs=nfs,
-        upstreams=trace.upstreams,
-        sources=trace.sources,
-        nf_types=trace.nf_types,
-        telemetry=trace.telemetry,
-    )
 
 
 @dataclass
@@ -189,13 +60,12 @@ class ChunkResult:
     end_ns: int
     victims: List[Victim]
     diagnoses: List[VictimDiagnosis]
-    #: Victims whose queuing period reaches at or behind the lookback
-    #: boundary — the margin is too small to bound them (rebuild mode
-    #: truncated them; reuse mode diagnosed them exactly and flags them).
+    #: Victims whose queuing period starts behind the lookback boundary —
+    #: the margin is too small to bound them (they are diagnosed exactly
+    #: all the same, and flagged).
     margin_exceeded: int = 0
     #: Memo entries retained / dropped by this chunk's eviction sweep and
-    #: memo hits served by entries carried from earlier chunks (reuse
-    #: mode only; rebuild mode reports zeros).
+    #: memo hits served by entries carried from earlier chunks.
     carried_entries: int = 0
     evicted_entries: int = 0
     cross_chunk_hits: int = 0
@@ -249,7 +119,6 @@ class StreamingDiagnosis:
         self._all_victims: List[Victim] = []
         self._victim_arrivals: List[int] = []
         self.refresh_victims()
-        self._packet_index: Optional[_PacketWindowIndex] = None
 
     def refresh_victims(self) -> None:
         """(Re)select victims from the current trace contents.
@@ -277,7 +146,7 @@ class StreamingDiagnosis:
                 key=lambda v: v.arrival_ns,
             )
         self._victim_arrivals = [v.arrival_ns for v in self._all_victims]
-        #: The carried engine (reuse mode); exposed so callers can read
+        #: The carried engine; exposed so callers can read
         #: ``engine.cache_stats`` after a run.
         self.engine: Optional[MicroscopeEngine] = None
         #: Chunk index the carried engine is positioned at (see ``open``).
@@ -290,38 +159,32 @@ class StreamingDiagnosis:
         return self._all_victims[lo:hi]
 
     def _end_ns(self) -> int:
+        """Time of the last departure or drop — the last possible victim.
+
+        Drops count: a queue that overflows after the final departure (the
+        trace cut off with the queue's contents undeparted) still yields
+        drop victims, and they need a chunk to land in.
+        """
         latest = 0
         for view in self.trace.nfs.values():
             last = view.last_depart_ns()
             if last is not None:
                 latest = max(latest, last)
+            if view.drops:
+                latest = max(latest, view.drops[-1][0])
         return latest
 
     @staticmethod
     def _count_margin_exceeded(
-        diagnoses: List[VictimDiagnosis], window_start_ns: int, exact: bool
+        diagnoses: List[VictimDiagnosis], window_start_ns: int
     ) -> int:
-        """Victims whose queuing period escapes the lookback window.
-
-        Reuse mode sees exact periods, so "starts strictly before the
-        window" is a precise truncation predicate.  Rebuild mode only sees
-        the already-clipped period; a period starting at the window's very
-        first arrival (``first_arrival_idx == 0``) is the truncation
-        signature (conservative: a real buildup beginning exactly there
-        also matches).
-        """
+        """Victims whose queuing period starts before the lookback window."""
         if window_start_ns <= 0:
             return 0
-        if exact:
-            return sum(
-                1
-                for d in diagnoses
-                if d.period is not None and d.period.start_ns < window_start_ns
-            )
         return sum(
             1
             for d in diagnoses
-            if d.period is not None and d.period.first_arrival_idx == 0
+            if d.period is not None and d.period.start_ns < window_start_ns
         )
 
     def _chunk_health(
@@ -368,7 +231,7 @@ class StreamingDiagnosis:
     def open(
         self, start_chunk: int = 0, generation: Optional[int] = None
     ) -> MicroscopeEngine:
-        """Position a fresh carried engine at ``start_chunk`` (reuse mode).
+        """Position a fresh carried engine at ``start_chunk``.
 
         This is the checkpoint-restore entry point: a service resuming
         mid-stream opens at the first unprocessed chunk and calls
@@ -379,8 +242,6 @@ class StreamingDiagnosis:
         uninterrupted run.  ``generation`` defaults to ``start_chunk``,
         matching the generation an uninterrupted run would carry there.
         """
-        if not self.config.reuse_engine:
-            raise DiagnosisError("open() requires reuse_engine=True")
         engine = self.engine = MicroscopeEngine(self.trace, **self.engine_kwargs)
         if generation is None:
             generation = start_chunk
@@ -412,7 +273,7 @@ class StreamingDiagnosis:
     def diagnose_chunk(
         self, index: int, victims: Optional[List[Victim]] = None
     ) -> ChunkResult:
-        """Diagnose one chunk against the carried engine (reuse mode).
+        """Diagnose one chunk against the carried engine.
 
         Chunks must be visited sequentially, but re-diagnosing the chunk
         the engine is currently positioned at is allowed — that is the
@@ -475,9 +336,7 @@ class StreamingDiagnosis:
             end_ns=chunk_end,
             victims=victims,
             diagnoses=diagnoses,
-            margin_exceeded=self._count_margin_exceeded(
-                diagnoses, window_start, exact=True
-            ),
+            margin_exceeded=self._count_margin_exceeded(diagnoses, window_start),
             carried_entries=stats_after.carried_entries
             - stats_before.carried_entries,
             evicted_entries=stats_after.evicted_entries
@@ -494,65 +353,9 @@ class StreamingDiagnosis:
 
     def chunks(self) -> Iterator[ChunkResult]:
         """Yield per-chunk diagnoses in time order."""
-        if self.config.reuse_engine:
-            yield from self._chunks_reused()
-        else:
-            yield from self._chunks_rebuilt()
-
-    def _chunks_reused(self) -> Iterator[ChunkResult]:
-        """One engine carried across chunks; exact for any margin."""
         self.open(0)
         for index in range(self.n_chunks()):
             yield self.diagnose_chunk(index)
-
-    def _chunks_rebuilt(self) -> Iterator[ChunkResult]:
-        """PR-1 semantics: a fresh engine per chunk over a bounded sub-trace."""
-        end = self._end_ns()
-        chunk = self.config.chunk_ns
-        margin = self.config.margin_ns
-        if self._packet_index is None:
-            self._packet_index = _PacketWindowIndex(self.trace)
-        start = 0
-        while start <= end:
-            chunk_end = start + chunk
-            window_start = max(0, start - margin)
-            victims = self._victims_in(start, chunk_end)
-            if victims:
-                # seed_queue carries the standing queue across the window
-                # boundary, so a chunk opening mid-buildup no longer loses
-                # the queue it inherited (ROADMAP open item).
-                sub = _sub_trace(
-                    self.trace,
-                    window_start,
-                    chunk_end,
-                    index=self._packet_index,
-                    seed_queue=True,
-                )
-                engine = MicroscopeEngine(sub, **self.engine_kwargs)
-                diagnoses = engine.diagnose_all(
-                    victims,
-                    workers=self.workers,
-                    task_timeout_s=self.task_timeout_s,
-                    executor=self.executor,
-                    concurrent_pipelines=self.concurrent_pipelines,
-                )
-            else:
-                diagnoses = []
-            health = self._chunk_health(diagnoses, window_start, chunk_end)
-            yield ChunkResult(
-                start_ns=start,
-                end_ns=chunk_end,
-                victims=victims,
-                diagnoses=diagnoses,
-                margin_exceeded=self._count_margin_exceeded(
-                    diagnoses, window_start, exact=False
-                ),
-                telemetry_completeness=health[0],
-                quarantined_nfs=health[1],
-                telemetry_gaps=health[2],
-                low_evidence_culprits=health[3],
-            )
-            start = chunk_end
 
     def run(self) -> List[VictimDiagnosis]:
         """All chunk diagnoses concatenated (victim time order)."""

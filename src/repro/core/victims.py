@@ -124,42 +124,24 @@ class VictimSelector:
                 f"victim latency threshold must be positive: {threshold_ns}"
             )
         cols = self.trace.columns()
-        if cols is not None:
-            code = None
-            if nf is not None:
-                code = cols.nf_code.get(nf)
-                if code is None:
-                    return []
-            pids, nf_codes, arrivals, latencies = cols.latency_victims_over(
-                threshold_ns, code
+        code = None
+        if nf is not None:
+            code = cols.nf_code.get(nf)
+            if code is None:
+                return []
+        pids, nf_codes, arrivals, latencies = cols.latency_victims_over(
+            threshold_ns, code
+        )
+        return [
+            Victim(
+                pid=int(pids[i]),
+                nf=cols.nf_names[int(nf_codes[i])],
+                kind="latency",
+                arrival_ns=int(arrivals[i]),
+                metric=float(latencies[i]),
             )
-            return [
-                Victim(
-                    pid=int(pids[i]),
-                    nf=cols.nf_names[int(nf_codes[i])],
-                    kind="latency",
-                    arrival_ns=int(arrivals[i]),
-                    metric=float(latencies[i]),
-                )
-                for i in range(len(pids))
-            ]
-        victims: List[Victim] = []
-        names = {nf} if nf else None
-        for packet in self.trace.packets.values():
-            for hop in packet.hops:
-                if names is not None and hop.nf not in names:
-                    continue
-                if hop.latency_ns >= threshold_ns:
-                    victims.append(
-                        Victim(
-                            pid=packet.pid,
-                            nf=hop.nf,
-                            kind="latency",
-                            arrival_ns=hop.arrival_ns,
-                            metric=float(hop.latency_ns),
-                        )
-                    )
-        return victims
+            for i in range(len(pids))
+        ]
 
     def _abnormal_hops(self, k: float, window: int) -> set:
         """(pid, nf) pairs whose local latency broke the rolling envelope.
@@ -221,31 +203,17 @@ class VictimSelector:
     def drop_victims(self) -> List[Victim]:
         """Every packet lost on queue overflow."""
         cols = self.trace.columns()
-        if cols is not None:
-            rows = cols.drop_rows()
-            return [
-                Victim(
-                    pid=int(cols.pkt_pid[row]),
-                    nf=cols.nf_names[int(cols.pkt_dropped_nf[row])],
-                    kind="drop",
-                    arrival_ns=int(cols.pkt_dropped_ns[row]),
-                    metric=0.0,
-                )
-                for row in rows.tolist()
-            ]
-        victims: List[Victim] = []
-        for packet in self.trace.packets.values():
-            if packet.dropped_at is not None:
-                victims.append(
-                    Victim(
-                        pid=packet.pid,
-                        nf=packet.dropped_at,
-                        kind="drop",
-                        arrival_ns=packet.dropped_ns,
-                        metric=0.0,
-                    )
-                )
-        return victims
+        rows = cols.drop_rows()
+        return [
+            Victim(
+                pid=int(cols.pkt_pid[row]),
+                nf=cols.nf_names[int(cols.pkt_dropped_nf[row])],
+                kind="drop",
+                arrival_ns=int(cols.pkt_dropped_ns[row]),
+                metric=0.0,
+            )
+            for row in rows.tolist()
+        ]
 
     # -- throughput ---------------------------------------------------------------
 

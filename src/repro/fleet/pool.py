@@ -46,6 +46,9 @@ Failure accounting: a worker that dies or misses its deadline is killed
 and a replacement spawned (``respawns`` in :class:`PoolStats`); only that
 shard is lost, and :meth:`diagnose` retries it serially in the caller,
 counted in the engine's ``cache_stats.worker_failures``/``worker_timeouts``.
+A call whose blocks cannot be shared at all (no shared memory on the
+platform, ``/dev/shm`` exhausted) submits nothing and takes that same
+serial path for every shard; ``last_dispatch["mode"]`` says so.
 Replacements use the ``spawn`` start method: a mid-run respawn happens
 from an already-multithreaded parent (pipeline threads, possibly holding
 locks), where ``fork`` could deadlock the child — only the initial
@@ -384,9 +387,7 @@ class WorkerPool:
         ``timeout=None`` blocks until a worker frees up — only safe for a
         caller holding no checked-out workers (see module docstring);
         ``timeout=0`` polls.  The task is a ``("shm", trace_name,
-        victims_name, lo, hi, params)`` or ``("pickle", init_args,
-        victims)`` tuple (the object trace backend has no columns to
-        share, so its trace crosses pickled).
+        victims_name, lo, hi, params)`` tuple.
         """
         if self.closed:
             raise FleetError("submit on a closed pool")
@@ -427,12 +428,11 @@ class WorkerPool:
         """Diagnose ``victims`` for ``engine`` across up to ``shards`` workers.
 
         Victims are cut into contiguous shards (never more than the pool
-        has workers — more could not run concurrently).  On the columnar
-        backend the trace is *registered* with the pool and the victims
-        cross as one small shared block created and unlinked here, so a
-        task is two names plus a range; on the object backend each task
-        carries the pickled trace.  Results are reassembled in victim
-        order, identical to the serial output.
+        has workers — more could not run concurrently).  The trace is
+        *registered* with the pool and the victims cross as one small
+        shared block created and unlinked here, so a task is two names
+        plus a range.  Results are reassembled in victim order, identical
+        to the serial output.
 
         ``task_timeout_s`` is one wall-clock deadline shared by the
         call's shards: an expired shard's worker is killed, finished
@@ -441,7 +441,10 @@ class WorkerPool:
         pipelines kept the pool contended (``last_dispatch
         ["inline_shards"]``, see the module's deadlock discipline) — is
         diagnosed serially by ``engine`` in this thread, failures counted
-        via ``engine.record_worker_failure``.
+        via ``engine.record_worker_failure``.  When the blocks cannot be
+        shared at all (no shared memory on this platform, ``/dev/shm``
+        exhausted) that is every shard: no task is submitted and
+        ``last_dispatch["mode"]`` reads ``"serial"``.
         """
         n_shards = max(1, min(shards, self.size, len(victims)))
         shard_size = (len(victims) + n_shards - 1) // n_shards
@@ -449,33 +452,30 @@ class WorkerPool:
             (lo, min(lo + shard_size, len(victims)))
             for lo in range(0, len(victims), shard_size)
         ]
-        init_args = engine.worker_init_args()
+        params = engine.worker_init_args()[1:]
         trace_name = None
         victims_shm = None
-        cols = engine.trace.columns()
-        if cols is not None and columnar.shm_available():
+        if columnar.shm_available():
             try:
                 trace_name = self.register_trace(engine.trace)
-                victims_shm = columnar.share_victims(victims, cols)
-            except Exception:  # pragma: no cover - e.g. /dev/shm exhausted
-                pass  # no victim block: the tasks below carry pickles instead
+                victims_shm = columnar.share_victims(
+                    victims, engine.trace.columns()
+                )
+            except OSError:  # e.g. /dev/shm exhausted
+                pass  # nothing to hand a worker: every shard runs serially below
         shard_wires: List[Optional[list]] = [None] * len(bounds)
         try:
+            tasks = []
             if victims_shm is not None:
                 tasks = [
-                    ("shm", trace_name, victims_shm.name, lo, hi, init_args[1:])
+                    ("shm", trace_name, victims_shm.name, lo, hi, params)
                     for lo, hi in bounds
                 ]
-                payload = max(len(pickle.dumps(task)) for task in tasks)
-            else:
-                tasks = [
-                    ("pickle", init_args, list(victims[lo:hi]))
-                    for lo, hi in bounds
-                ]
-                payload = None
             engine.last_dispatch = {
-                "mode": "shm" if victims_shm is not None else "pickle",
-                "payload_bytes_per_task": payload,
+                "mode": "shm" if tasks else "serial",
+                "payload_bytes_per_task": max(
+                    (len(pickle.dumps(task)) for task in tasks), default=None
+                ),
             }
             deadline = (
                 None if task_timeout_s is None else time.monotonic() + task_timeout_s
@@ -642,10 +642,6 @@ def _pool_worker_main(conn) -> None:
                         lo,
                         hi,
                     )
-                    conn.send(("ok", diagnosis_mod._parallel_worker_diagnose(victims)))
-                elif task[0] == "pickle":
-                    _kind, init_args, victims = task
-                    diagnosis_mod._parallel_worker_init(*init_args)
                     conn.send(("ok", diagnosis_mod._parallel_worker_diagnose(victims)))
                 else:
                     conn.send(("error", f"unknown task kind {task[0]!r}"))

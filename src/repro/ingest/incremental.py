@@ -136,6 +136,7 @@ class IncrementalTrace(DiagTrace):
         self._lost: Dict[str, int] = {}
         self._excluded: Set[str] = set()
         self._applied_horizon = -1
+        #: Latest departure or drop applied: sizes the run (``n_chunks``).
         self._max_depart_ns = 0
         self._complete = False
         self.records_applied = 0
@@ -687,6 +688,10 @@ class IncrementalTrace(DiagTrace):
             packet.dropped_at = stream
             packet.dropped_ns = record.time_ns
             _insert_sorted(view.drops, (record.time_ns, record.pid))
+            # A drop is a victim: the run must reach the chunk it falls in
+            # even when nothing departs that late.
+            if record.time_ns > self._max_depart_ns:
+                self._max_depart_ns = record.time_ns
         else:  # exit
             packet.exited_ns = record.time_ns
         self._mark_mutated(record.pid)  # its column rows must rebuild

@@ -1,11 +1,11 @@
-"""Backend parity: the columnar trace layout is a bit-identical twin.
+"""Oracle parity: the columnar trace layout is a bit-identical twin.
 
-``REPRO_TRACE_BACKEND`` switches between the vectorized columnar core
-and the pure-Python object walk (the oracle).  These property tests pin
-the contract from DESIGN.md: for *any* trace — randomly generated hop
-timelines, drops, looping paths, streaming chunkings, and chaos-degraded
-telemetry — both backends select the same victims and produce
-byte-identical diagnosis output, confidence included.
+Production diagnosis runs on the vectorized columnar core; the
+pure-Python object walk it replaced is the oracle (``tests/oracles/``).
+These property tests pin the contract from DESIGN.md: for *any* trace —
+randomly generated hop timelines, drops, looping paths, streaming
+chunkings, and chaos-degraded telemetry — both select the same victims
+and produce byte-identical diagnosis output, confidence included.
 
 Traces are hand-built (not simulated) so hypothesis can explore shapes
 the simulator never emits: zero-hop packets, ties, revisited NFs,
@@ -14,21 +14,22 @@ packets that vanish mid-path.
 
 from __future__ import annotations
 
-import os
+import functools
 from typing import Dict, List, Optional, Set
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.columnar import TraceColumns, columnar_enabled
+from repro.core.columnar import TraceColumns
 from repro.core.diagnosis import MicroscopeEngine
 from repro.core.records import DiagTrace, NFView, PacketHop, PacketView
 from repro.core.streaming import StreamingConfig, StreamingDiagnosis
 from repro.core.victims import VictimSelector
 from repro.nfv.packet import FiveTuple
 from tests.core.test_fastpath import canonical_bytes
+from tests.oracles import victims as oracle_victims
+from tests.oracles.engine import OracleEngine, streaming_through
 
 FLOWS = [
     FiveTuple.of("10.0.0.1", "20.0.0.1", 1111, 80),
@@ -36,11 +37,6 @@ FLOWS = [
 ]
 
 NF_NAMES = ["nf0", "nf1", "nf2", "nf3"]
-
-
-def backend(name: str):
-    """Context manager forcing a trace backend for the enclosed block."""
-    return mock.patch.dict(os.environ, {"REPRO_TRACE_BACKEND": name})
 
 
 # -- random trace construction -------------------------------------------------
@@ -135,34 +131,33 @@ def build_trace(spec: dict) -> DiagTrace:
     )
 
 
-def select_victims(trace: DiagTrace, threshold_ns: int):
-    selector = VictimSelector(trace)
-    victims = []
-    for nf in trace.nfs:
-        victims.extend(selector.hop_latency_victims_over(threshold_ns, nf=nf))
-    victims.extend(selector.drop_victims())
-    return victims
+def select_victims(trace: DiagTrace, threshold_ns: int, oracle: bool):
+    if oracle:
+        over = functools.partial(oracle_victims.hop_latency_victims_over, trace)
+        drops = oracle_victims.drop_victims(trace)
+    else:
+        over = VictimSelector(trace).hop_latency_victims_over
+        drops = VictimSelector(trace).drop_victims()
+    victims = [v for nf in trace.nfs for v in over(threshold_ns, nf=nf)]
+    return victims + drops
 
 
 def victim_key(v):
     return (v.kind, v.nf, v.pid, v.arrival_ns)
 
 
-def diagnose_under(backend_name: str, spec: dict, threshold_ns: int):
-    """Fresh trace + engine + streaming pass under one backend."""
-    with backend(backend_name):
-        trace = build_trace(spec)
-        if backend_name == "columnar":
-            assert trace.columns() is not None
-        else:
-            assert trace.columns() is None
-        victims = select_victims(trace, threshold_ns)
-        diagnoses = MicroscopeEngine(trace).diagnose_all(victims)
-        return (
-            [victim_key(v) for v in victims],
-            canonical_bytes(diagnoses),
-            [d.confidence for d in diagnoses],
-        )
+def diagnose_through(oracle: bool, spec: dict, threshold_ns: int):
+    """Fresh trace, victim selection and batch diagnosis through the
+    production path or through the oracles."""
+    trace = build_trace(spec)
+    victims = select_victims(trace, threshold_ns, oracle)
+    engine = (OracleEngine if oracle else MicroscopeEngine)(trace)
+    diagnoses = engine.diagnose_all(victims)
+    return (
+        [victim_key(v) for v in victims],
+        canonical_bytes(diagnoses),
+        [d.confidence for d in diagnoses],
+    )
 
 
 # -- properties ----------------------------------------------------------------
@@ -175,9 +170,9 @@ def diagnose_under(backend_name: str, spec: dict, threshold_ns: int):
 )
 @given(spec=trace_spec, threshold=st.integers(min_value=1, max_value=500))
 def test_backends_bit_identical_on_random_traces(spec, threshold):
-    """Victims, diagnosis bytes, and confidences match across backends."""
-    columnar = diagnose_under("columnar", spec, threshold)
-    oracle = diagnose_under("python", spec, threshold)
+    """Victims, diagnosis bytes, and confidences match the oracles'."""
+    columnar = diagnose_through(False, spec, threshold)
+    oracle = diagnose_through(True, spec, threshold)
     assert columnar == oracle
 
 
@@ -196,16 +191,16 @@ def test_streaming_chunks_bit_identical_across_backends(
     spec, threshold, chunk_ns, margin_ns
 ):
     """Chunked (streaming) diagnosis is chunk-for-chunk identical too."""
-    outputs = {}
-    for name in ("columnar", "python"):
-        with backend(name):
-            trace = build_trace(spec)
-            config = StreamingConfig(chunk_ns=chunk_ns, margin_ns=margin_ns)
-            chunks = list(StreamingDiagnosis(trace, config).chunks())
-            outputs[name] = [
-                (c.start_ns, c.end_ns, canonical_bytes(c.diagnoses)) for c in chunks
-            ]
-    assert outputs["columnar"] == outputs["python"]
+
+    def streamed():
+        config = StreamingConfig(chunk_ns=chunk_ns, margin_ns=margin_ns)
+        chunks = StreamingDiagnosis(build_trace(spec), config).chunks()
+        return [(c.start_ns, c.end_ns, canonical_bytes(c.diagnoses)) for c in chunks]
+
+    columnar = streamed()
+    with streaming_through(OracleEngine):
+        oracle = streamed()
+    assert columnar == oracle
 
 
 @settings(
@@ -216,67 +211,43 @@ def test_streaming_chunks_bit_identical_across_backends(
 @given(spec=trace_spec)
 def test_columns_round_trip_matches_object_streams(spec):
     """The columnar build reproduces every per-NF stream and hop exactly."""
-    with backend("columnar"):
-        trace = build_trace(spec)
-        cols = trace.columns()
-        assert isinstance(cols, TraceColumns)
-        for name, view in trace.nfs.items():
-            code = cols.nf_code[name]
-            ncols = cols.streams[code]
-            assert list(zip(ncols.arr_t.tolist(), ncols.arr_pid.tolist())) == (
-                view.arrivals
-            )
-            assert list(zip(ncols.read_t.tolist(), ncols.read_pid.tolist())) == (
-                view.reads
-            )
-            assert list(zip(ncols.dep_t.tolist(), ncols.dep_pid.tolist())) == (
-                view.departs
-            )
-            assert list(zip(ncols.drop_t.tolist(), ncols.drop_pid.tolist())) == (
-                view.drops
-            )
-        # Hop tables match packet journeys, packet-major in dict order.
-        pids = list(trace.packets)
-        assert cols.pkt_pid.tolist() == pids
-        for row, pid in enumerate(pids):
-            packet = trace.packets[pid]
-            start, end = int(cols.hop_start[row]), int(cols.hop_start[row + 1])
-            assert end - start == len(packet.hops)
-            for k, hop in enumerate(packet.hops):
-                j = start + k
-                assert cols.nf_names[cols.hop_nf[j]] == hop.nf
-                assert int(cols.hop_arrival[j]) == hop.arrival_ns
-                assert int(cols.hop_read[j]) == hop.read_ns
-                assert int(cols.hop_depart[j]) == hop.depart_ns
-
-
-def test_backend_env_switch_is_read_per_call():
-    spec = {
-        "n_nfs": 2,
-        "peaks": [50_000.0] * 4,
-        "packets": [
-            {
-                "flow": 0,
-                "emit": 0,
-                "deltas": [(0, 10, 5), (0, 10, 5)],
-                "fate": "exit",
-                "revisit": False,
-            }
-        ],
-    }
     trace = build_trace(spec)
-    with backend("python"):
-        assert not columnar_enabled()
-        assert trace.columns() is None
-    with backend("columnar"):
-        assert columnar_enabled()
-        assert trace.columns() is not None
+    cols = trace.columns()
+    assert isinstance(cols, TraceColumns)
+    for name, view in trace.nfs.items():
+        code = cols.nf_code[name]
+        ncols = cols.streams[code]
+        assert list(zip(ncols.arr_t.tolist(), ncols.arr_pid.tolist())) == (
+            view.arrivals
+        )
+        assert list(zip(ncols.read_t.tolist(), ncols.read_pid.tolist())) == (
+            view.reads
+        )
+        assert list(zip(ncols.dep_t.tolist(), ncols.dep_pid.tolist())) == (
+            view.departs
+        )
+        assert list(zip(ncols.drop_t.tolist(), ncols.drop_pid.tolist())) == (
+            view.drops
+        )
+    # Hop tables match packet journeys, packet-major in dict order.
+    pids = list(trace.packets)
+    assert cols.pkt_pid.tolist() == pids
+    for row, pid in enumerate(pids):
+        packet = trace.packets[pid]
+        start, end = int(cols.hop_start[row]), int(cols.hop_start[row + 1])
+        assert end - start == len(packet.hops)
+        for k, hop in enumerate(packet.hops):
+            j = start + k
+            assert cols.nf_names[cols.hop_nf[j]] == hop.nf
+            assert int(cols.hop_arrival[j]) == hop.arrival_ns
+            assert int(cols.hop_read[j]) == hop.read_ns
+            assert int(cols.hop_depart[j]) == hop.depart_ns
 
 
 class TestChaosParity:
     """Degraded telemetry (10% record loss) goes through the tolerant
-    reconstruction path; the columnar backend must still be bit-identical,
-    confidence discounts included."""
+    reconstruction path; the columnar core must still be bit-identical to
+    the oracles, confidence discounts included."""
 
     @pytest.fixture(scope="class")
     def chaos_ingredients(self):
@@ -287,27 +258,23 @@ class TestChaosParity:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_ten_percent_loss_bit_identical(self, chaos_ingredients, seed):
         from repro.collector.chaos import ChaosConfig
+        from tests.core.test_oracle_parity import batch_and_streamed, fingerprint
         from tests.integration.test_degraded_telemetry import run_pipeline
 
         topo, data, edges = chaos_ingredients
-        outputs = {}
-        for name in ("columnar", "python"):
-            with backend(name):
-                out = run_pipeline(
-                    topo,
-                    data,
-                    edges,
-                    chaos=ChaosConfig(drop_rate=0.10, seed=seed),
-                    tolerant=True,
-                )
-                outputs[name] = (
-                    [victim_key(v) for v in out["victims"]],
-                    canonical_bytes(out["diagnoses"]),
-                    [d.confidence for d in out["diagnoses"]],
-                    [
-                        (c.start_ns, c.end_ns, canonical_bytes(c.diagnoses))
-                        for c in out["chunks"]
-                    ],
-                )
-        assert outputs["columnar"] == outputs["python"]
-        assert outputs["columnar"][2], "expected surviving diagnoses"
+        out = run_pipeline(
+            topo,
+            data,
+            edges,
+            chaos=ChaosConfig(drop_rate=0.10, seed=seed),
+            tolerant=True,
+        )
+        # The chunking run_pipeline streams with.
+        config = StreamingConfig(chunk_ns=2_000_000, margin_ns=2_000_000)
+        columnar, oracle = (
+            batch_and_streamed(engine_class, out["trace"], out["victims"], config)
+            for engine_class in (MicroscopeEngine, OracleEngine)
+        )
+        assert columnar == oracle
+        assert columnar[0] == fingerprint(out["diagnoses"])
+        assert out["diagnoses"], "expected surviving diagnoses"

@@ -17,13 +17,8 @@ import tracemalloc
 
 import pytest
 
-from repro.core.columnar import columnar_enabled
 from repro.core.records import DiagTrace
 from tests.conftest import run_interrupt_chain
-
-pytestmark = pytest.mark.skipif(
-    not columnar_enabled(), reason="columnar backend disabled or no numpy"
-)
 
 #: Fixed overhead allowance: name tables, the CSR index, sort scratch,
 #: and interpreter noise.  Deliberately far below what per-hop Python

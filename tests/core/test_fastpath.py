@@ -15,8 +15,9 @@ import json
 
 import pytest
 
+from repro.core.columnar import ColumnarPathDecomposition
 from repro.core.diagnosis import MicroscopeEngine
-from repro.core.propagation import PathDecomposition, propagation_scores
+from repro.core.propagation import propagation_scores
 from repro.core.records import DiagTrace
 from repro.core.victims import Victim, VictimSelector
 from repro.nfv import (
@@ -33,6 +34,8 @@ from repro.nfv import (
 from repro.traffic import IpidSpace, PidAllocator, constant_rate_flow
 from repro.util import MSEC, USEC, substream
 from tests.conftest import run_interrupt_chain
+from tests.oracles.engine import OracleEngine
+from tests.oracles.propagation import PathDecomposition
 
 FLOW_A = FiveTuple.of("10.1.0.1", "20.1.0.1", 1111, 80)
 FLOW_B = FiveTuple.of("10.2.0.1", "20.2.0.1", 2222, 80)
@@ -219,7 +222,8 @@ class TestWorkerFailureRecovery:
 class TestPathDecompositionPrefixes:
     def test_prefix_queries_match_fresh_runs(self, chain_case):
         # One decomposition answering growing prefixes must equal a fresh
-        # propagation run per prefix — the core memoization invariant.
+        # propagation run per prefix — the core memoization invariant —
+        # whether it is the production one or the object-walking oracle.
         trace, victims = chain_case
         engine = MicroscopeEngine(trace)
         victim = max(victims, key=lambda v: v.arrival_ns)
@@ -229,19 +233,25 @@ class TestPathDecompositionPrefixes:
             pytest.skip("victim saw no queuing period")
         preset = analyzer.preset_pids(period)
         si, texp = 25.0, 1_000_000.0
-        shared = PathDecomposition(trace, victim.nf)
+        shared = [
+            PathDecomposition(trace, victim.nf),
+            ColumnarPathDecomposition(trace, victim.nf),
+        ]
         for m in sorted({1, 2, len(preset) // 2, len(preset)}):
             if m < 1 or m > len(preset):
                 continue
             fresh = propagation_scores(trace, victim.nf, preset[:m], si, texp)
-            reused = propagation_scores(
-                trace, victim.nf, preset[:m], si, texp, decomposition=shared
-            )
-            assert fresh == reused
+            for decomposition in shared:
+                reused = propagation_scores(
+                    trace, victim.nf, preset[:m], si, texp,
+                    decomposition=decomposition,
+                )
+                assert fresh == reused
 
     def test_first_hop_arrival_matches_scan(self, chain_case):
         trace, victims = chain_case
         engine = MicroscopeEngine(trace)
+        scan = OracleEngine(trace)._first_preset_arrival
         for victim in victims[:20]:
             diagnosis = engine.diagnose(victim)
             if diagnosis.local is None or diagnosis.local.si <= 0:
@@ -260,10 +270,11 @@ class TestPathDecompositionPrefixes:
                 if share.is_source:
                     assert share.first_hop_arrival is None
                 else:
-                    expected = engine._first_preset_arrival(
+                    expected = scan(share.name, share.subset_pids)
+                    assert share.first_hop_arrival == expected
+                    assert expected == engine._first_preset_arrival(
                         share.name, share.subset_pids
                     )
-                    assert share.first_hop_arrival == expected
 
 
 class TestEarliestEmitFallback:

@@ -5,6 +5,11 @@ hands itself to a pool it is given (or imports one lazily, inside the
 ``workers=N`` branch), so nothing under ``src/repro/core/`` may import
 ``multiprocessing`` — except ``columnar.py``'s ``shared_memory``, the
 block format workers attach — or import ``repro.fleet`` at module load.
+
+There is also one diagnosis path through it: numpy is a dependency, not a
+backend.  Nothing under ``src/repro/core/`` may read the environment or
+guard ``import numpy`` against ``ImportError`` (how alternative paths got
+selected), and the pool ships one task kind.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import ast
 from pathlib import Path
 
 import repro.core
+import repro.fleet.pool
 
 CORE = Path(repro.core.__file__).parent
 
@@ -55,3 +61,48 @@ def test_core_imports_no_multiprocessing_and_no_fleet_at_module_level():
             ):
                 offenders.append(f"{path.name}: module-level import of repro.fleet")
     assert not offenders, offenders
+
+
+def core_trees():
+    for path in sorted(CORE.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
+def test_core_never_reads_the_environment():
+    offenders = []
+    for name, tree in core_trees():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+                and node.attr in ("environ", "getenv")
+            ):
+                offenders.append(f"{name}:{node.lineno}: os.{node.attr}")
+        for module, names in imports(tree):
+            if module == "os" and {"environ", "getenv"} & set(names):
+                offenders.append(f"{name}: from os import {names}")
+    assert not offenders, offenders
+
+
+def test_core_imports_numpy_unconditionally():
+    offenders = []
+    for name, tree in core_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Try):
+                continue
+            for module, _names in imports(ast.Module(body=node.body, type_ignores=[])):
+                if is_or_under(module, "numpy"):
+                    offenders.append(f"{name}:{node.lineno}: guarded numpy import")
+    assert not offenders, offenders
+
+
+def test_pool_has_no_pickle_task_kind():
+    path = Path(repro.fleet.pool.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offenders = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value == "pickle"
+    ]
+    assert not offenders, f"'pickle' string constant in pool.py at lines {offenders}"

@@ -1,26 +1,30 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.queuing import (
     QueuingAnalyzer,
     QueuingPeriod,
-    default_backend,
     periods_from_batches,
 )
 from repro.core.records import NFView
 from repro.errors import DiagnosisError
+from tests.oracles.queuing import (
+    INDEX_SEQUENCES,
+    build_index_reference,
+    reference_analyzer,
+)
 
-try:
-    import numpy  # noqa: F401
-
-    BACKENDS = ["python", "numpy"]
-except ImportError:  # pragma: no cover - numpy is a base dependency
-    BACKENDS = ["python"]
+#: Index builders the behavioural tests run against: the production numpy
+#: pass and the reference Python loop (so the oracle is itself held to the
+#: hand-computed expectations below).
+ANALYZERS = {"python": reference_analyzer, "numpy": QueuingAnalyzer}
+BACKENDS = list(ANALYZERS)
 
 
 @pytest.fixture(params=BACKENDS)
 def backend(request):
-    """Every behavioural test runs against both index backends."""
+    """Every behavioural test runs against both index builders."""
     return request.param
 
 
@@ -34,33 +38,34 @@ def view_from_events(arrivals, reads, name="nf", peak=1e6):
 
 
 class TestBackendSelection:
+    """There is none: one index representation, no way to ask for another."""
+
     def test_default_backend_is_valid(self):
-        assert default_backend() in ("auto", "python", "numpy")
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_QUEUING_BACKEND", "python")
-        assert default_backend() == "python"
-
-    def test_env_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_QUEUING_BACKEND", "fortran")
-        with pytest.raises(DiagnosisError):
-            default_backend()
+        view = view_from_events([(100, 0), (110, 1)], [(150, 0), (160, 1)])
+        analyzer = QueuingAnalyzer(view)
+        for name in INDEX_SEQUENCES:
+            sequence = getattr(analyzer, name)
+            assert isinstance(sequence, np.ndarray) and sequence.dtype == np.int64
 
     def test_unknown_backend_rejected(self):
         view = view_from_events([], [])
-        with pytest.raises(DiagnosisError):
-            QueuingAnalyzer(view, backend="fortran")
+        with pytest.raises(TypeError):
+            QueuingAnalyzer(view, backend="python")
 
     def test_resolved_backend_exposed(self, backend):
+        """The two arms the behavioural tests run on really differ: the
+        reference loop's plain lists vs the production arrays."""
         view = view_from_events([(100, 0)], [(150, 0)])
-        assert QueuingAnalyzer(view, backend=backend).backend == backend
+        expected = {"python": list, "numpy": np.ndarray}[backend]
+        analyzer = ANALYZERS[backend](view)
+        assert all(type(getattr(analyzer, n)) is expected for n in INDEX_SEQUENCES)
 
 
 class TestBasicPeriods:
     def test_empty_queue_gives_none(self, backend):
         # Single packet arrives into an empty queue: no period behind it.
         view = view_from_events([(100, 0)], [(150, 0)])
-        analyzer = QueuingAnalyzer(view, backend=backend)
+        analyzer = ANALYZERS[backend](view)
         assert analyzer.period_for_arrival(0, 100) is None
 
     def test_builds_simple_period(self, backend):
@@ -68,7 +73,7 @@ class TestBasicPeriods:
         view = view_from_events(
             [(100, 0), (110, 1), (120, 2)], [(130, 0), (140, 1), (150, 2)]
         )
-        analyzer = QueuingAnalyzer(view, backend=backend)
+        analyzer = ANALYZERS[backend](view)
         period = analyzer.period_for_arrival(2, 120)
         assert period is not None
         assert period.start_ns == 100
@@ -83,7 +88,7 @@ class TestBasicPeriods:
             [(100, 0), (110, 1), (200, 2), (210, 3)],
             [(105, 0), (115, 1), (220, 2), (230, 3)],
         )
-        analyzer = QueuingAnalyzer(view, backend=backend)
+        analyzer = ANALYZERS[backend](view)
         period = analyzer.period_for_arrival(3, 210)
         assert period is not None
         assert period.start_ns == 200  # not 100
@@ -93,7 +98,7 @@ class TestBasicPeriods:
         view = view_from_events(
             [(100, 7), (110, 8), (120, 9)], [(130, 7), (140, 8), (150, 9)]
         )
-        analyzer = QueuingAnalyzer(view, backend=backend)
+        analyzer = ANALYZERS[backend](view)
         period = analyzer.period_for_arrival(9, 120)
         assert analyzer.preset_pids(period) == [7, 8]
 
@@ -102,7 +107,7 @@ class TestBasicPeriods:
         view = view_from_events(
             [(100, 0), (105, 1), (110, 2)], [(110, 0), (120, 1), (130, 2)]
         )
-        analyzer = QueuingAnalyzer(view, backend=backend)
+        analyzer = ANALYZERS[backend](view)
         period = analyzer.period_for_arrival(2, 110)
         assert period is not None
         assert period.n_input == 2
@@ -110,11 +115,11 @@ class TestBasicPeriods:
 
     def test_period_fields_are_builtin_ints(self, backend):
         # np.int64 leaking into periods would break json serialization in
-        # reports/benchmarks; both backends must emit plain ints.
+        # reports/benchmarks; periods must carry plain ints.
         view = view_from_events(
             [(100, 0), (110, 1), (120, 2)], [(130, 0), (140, 1), (150, 2)]
         )
-        period = QueuingAnalyzer(view, backend=backend).period_for_arrival(2, 120)
+        period = ANALYZERS[backend](view).period_for_arrival(2, 120)
         for value in (
             period.start_ns,
             period.end_ns,
@@ -131,7 +136,7 @@ class TestPeriodAt:
         view = view_from_events(
             [(100, 0), (110, 1), (120, 2)], [(130, 0), (140, 1), (150, 2)]
         )
-        analyzer = QueuingAnalyzer(view, backend=backend)
+        analyzer = ANALYZERS[backend](view)
         by_time = analyzer.period_at(125)
         assert by_time is not None
         assert by_time.start_ns == 100
@@ -139,7 +144,7 @@ class TestPeriodAt:
 
     def test_before_any_event(self, backend):
         view = view_from_events([(100, 0)], [(150, 0)])
-        analyzer = QueuingAnalyzer(view, backend=backend)
+        analyzer = ANALYZERS[backend](view)
         assert analyzer.period_at(50) is None
 
 
@@ -148,7 +153,7 @@ class TestThreshold:
         view = view_from_events(
             [(100, 0), (110, 1), (120, 2)], [(130, 0), (140, 1), (150, 2)]
         )
-        analyzer = QueuingAnalyzer(view, threshold=2, backend=backend)
+        analyzer = ANALYZERS[backend](view, threshold=2)
         # pid 2 saw queue length 2, which is not above the threshold.
         assert analyzer.period_for_arrival(2, 120) is None
 
@@ -186,7 +191,7 @@ class TestInvariants:
     def test_queue_len_matches_naive_count(self, backend, streams):
         arrivals, reads = streams
         view = view_from_events(arrivals, reads)
-        analyzer = QueuingAnalyzer(view, backend=backend)
+        analyzer = ANALYZERS[backend](view)
         for t, pid in arrivals:
             period = analyzer.period_for_arrival(pid, t)
             # Naive queue occupancy just before this arrival: arrivals
@@ -208,14 +213,13 @@ class TestInvariants:
     def test_preset_size_equals_n_input(self, backend, streams):
         arrivals, reads = streams
         view = view_from_events(arrivals, reads)
-        analyzer = QueuingAnalyzer(view, backend=backend)
+        analyzer = ANALYZERS[backend](view)
         for t, pid in arrivals:
             period = analyzer.period_for_arrival(pid, t)
             if period is not None:
                 assert len(analyzer.preset_pids(period)) == period.n_input
 
 
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="numpy not available")
 class TestBackendEquivalence:
     """The vectorized index must be bit-identical to the reference loop."""
 
@@ -224,8 +228,12 @@ class TestBackendEquivalence:
     def test_periods_identical(self, streams, threshold):
         arrivals, reads = streams
         view = view_from_events(arrivals, reads)
-        py = QueuingAnalyzer(view, threshold=threshold, backend="python")
-        np_ = QueuingAnalyzer(view, threshold=threshold, backend="numpy")
+        py = reference_analyzer(view, threshold=threshold)
+        np_ = QueuingAnalyzer(view, threshold=threshold)
+        for name, reference in zip(
+            INDEX_SEQUENCES, build_index_reference(view, threshold)
+        ):
+            assert np.array_equal(getattr(np_, name), reference), name
         for t, pid in arrivals:
             p_py = py.period_for_arrival(pid, t)
             p_np = np_.period_for_arrival(pid, t)

@@ -1,14 +1,14 @@
 """Shared-memory dispatch: zero-copy traces across the process boundary.
 
-Parallel ``diagnose_all`` on the columnar backend ships the trace once as
-a named shared-memory block; workers attach by name, so the per-task
-dispatch payload is a handle plus a victim range.  These tests pin the
-dispatch contract from DESIGN.md for the pool ``workers=N`` opens for the
-call: attach round-trips are exact, parallel output stays bit-identical,
-payloads stay tiny, and *no* ``/dev/shm`` segment or worker process
-survives any exit path — success, worker crash, or a
-:class:`SimulatedCrash` unwinding mid-dispatch (``tests/conftest.py``'s
-leak guard asserts it after every test here).
+Parallel ``diagnose_all`` ships the trace once as a named shared-memory
+block; workers attach by name, so the per-task dispatch payload is a
+handle plus a victim range.  These tests pin the dispatch contract from
+DESIGN.md for the pool ``workers=N`` opens for the call: attach
+round-trips are exact, parallel output stays bit-identical, payloads stay
+tiny, and *no* ``/dev/shm`` segment or worker process survives any exit
+path — success, worker crash, or a :class:`SimulatedCrash` unwinding
+mid-dispatch (``tests/conftest.py``'s leak guard asserts it after every
+test here).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from tests.conftest import run_interrupt_chain
 from tests.core.test_fastpath import canonical_bytes
 
 pytestmark = pytest.mark.skipif(
-    not shm_available(), reason="no shared memory / numpy on this platform"
+    not shm_available(), reason="no shared memory on this platform"
 )
 
 #: Acceptance criterion from the issue: dispatch payloads under 10 KB.
@@ -48,14 +48,6 @@ def chain():
     victims = VictimSelector(trace).hop_latency_victims(pct=98.0)
     assert victims
     return trace, victims
-
-
-@pytest.fixture(autouse=True)
-def columnar_backend(monkeypatch):
-    """Shared-memory dispatch is a columnar feature; pin the backend so the
-    suite passes even when run under ``REPRO_TRACE_BACKEND=python`` (the CI
-    oracle job).  Tests of the pickle fallback override this per-test."""
-    monkeypatch.setenv("REPRO_TRACE_BACKEND", "columnar")
 
 
 class TestShareAttachRoundTrip:
@@ -149,24 +141,13 @@ class TestShmParallelDispatch:
         assert engine.last_dispatch["payload_bytes_per_task"] <= small + 8
 
     def test_pickled_trace_never_ships_columns(self, chain):
-        # Legacy (pickle) dispatch fallback must not double-ship the data:
+        # A pickled (or deep-copied) trace must not double-ship the data:
         # __getstate__ strips the columnar twin.
         trace, _victims = chain
         assert trace.columns() is not None
         clone = pickle.loads(pickle.dumps(trace))
         assert clone._columns_cache is None
         assert clone.columns() is not None  # rebuilds on demand
-
-    def test_object_backend_falls_back_to_pickle_mode(self, chain, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_BACKEND", "python")
-        trace = DiagTrace.from_sim_result(run_interrupt_chain())
-        victims = VictimSelector(trace).hop_latency_victims(pct=98.0)
-        engine = MicroscopeEngine(trace)
-        parallel = engine.diagnose_all(victims, workers=2)
-        assert engine.last_dispatch["mode"] == "pickle"
-        assert engine.last_dispatch["payload_bytes_per_task"] is None
-        serial = MicroscopeEngine(trace).diagnose_all(victims)
-        assert canonical_bytes(parallel) == canonical_bytes(serial)
 
 
 class TestShmCleanupOnFailure:

@@ -1,11 +1,27 @@
+import dataclasses
+
 import pytest
 
 from repro.core.diagnosis import MicroscopeEngine
-from repro.core.report import ranked_entities
-from repro.core.streaming import StreamingConfig, StreamingDiagnosis, _sub_trace
+from repro.core.streaming import StreamingConfig, StreamingDiagnosis
 from repro.core.victims import VictimSelector
 from repro.errors import DiagnosisError
 from repro.util.timebase import MSEC
+
+
+def carried_chunks(streaming):
+    """One engine carried across every chunk (what ``chunks()`` does)."""
+    return list(streaming.chunks())
+
+
+def rebuilt_chunks(streaming):
+    """A fresh engine opened at every chunk — the checkpoint-restore path
+    taken at each boundary, so nothing is ever carried."""
+    results = []
+    for index in range(streaming.n_chunks()):
+        streaming.open(index)
+        results.append(streaming.diagnose_chunk(index))
+    return results
 
 
 class TestConfig:
@@ -15,58 +31,32 @@ class TestConfig:
         with pytest.raises(DiagnosisError):
             StreamingConfig(margin_ns=-1)
 
-    def test_reuse_is_default(self):
-        assert StreamingConfig().reuse_engine is True
+    def test_reuse_is_default(self, interrupt_chain_trace):
+        """Carrying one engine is the only mode: no field selects another,
+        and ``chunks()`` diagnoses every chunk against the same engine."""
+        fields = [f.name for f in dataclasses.fields(StreamingConfig)]
+        assert fields == ["chunk_ns", "margin_ns"]
+        streaming = StreamingDiagnosis(
+            interrupt_chain_trace, StreamingConfig(chunk_ns=1 * MSEC, margin_ns=0)
+        )
+        engines = [streaming.engine for _chunk in streaming.chunks()]
+        assert len(engines) > 1 and all(e is engines[0] for e in engines)
 
 
-class TestSubTrace:
-    def test_restricts_events(self, interrupt_chain_trace):
-        sub = _sub_trace(interrupt_chain_trace, 1 * MSEC, 2 * MSEC)
-        for view in sub.nfs.values():
-            assert all(1 * MSEC <= t < 2 * MSEC for t, _ in view.arrivals)
-        assert sub.upstreams == interrupt_chain_trace.upstreams
-
-    def test_keeps_packets_touching_window(self, interrupt_chain_trace):
-        sub = _sub_trace(interrupt_chain_trace, 1 * MSEC, 2 * MSEC)
-        assert sub.packets
-        assert len(sub.packets) < len(interrupt_chain_trace.packets)
-
-    def test_window_matches_linear_scan(self, interrupt_chain_trace):
-        """The bisect-sliced window equals the original per-event filter."""
-        trace = interrupt_chain_trace
-        start, end = 1 * MSEC, int(2.5 * MSEC)
-        sub = _sub_trace(trace, start, end)
-        for name, view in trace.nfs.items():
-            for stream in ("arrivals", "reads", "departs", "drops"):
-                expected = [
-                    e for e in getattr(view, stream) if start <= e[0] < end
-                ]
-                assert getattr(sub.nfs[name], stream) == expected
-        expected_pids = set()
-        for pid, packet in trace.packets.items():
-            first = packet.emitted_ns
-            last = packet.exited_ns if packet.exited_ns >= 0 else packet.dropped_ns
-            if last < 0:
-                last = max((h.depart_ns for h in packet.hops), default=first)
-            if not (last < start or first >= end):
-                expected_pids.add(pid)
-        assert set(sub.packets) == expected_pids
-
-
-@pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "rebuild"])
+@pytest.mark.parametrize(
+    "chunks_of", [carried_chunks, rebuilt_chunks], ids=["reuse", "rebuild"]
+)
 class TestStreamingEquivalence:
     def test_matches_batch_with_sufficient_margin(
-        self, interrupt_chain_trace, reuse
+        self, interrupt_chain_trace, chunks_of
     ):
         trace = interrupt_chain_trace
         streaming = StreamingDiagnosis(
             trace,
-            StreamingConfig(
-                chunk_ns=1 * MSEC, margin_ns=5 * MSEC, reuse_engine=reuse
-            ),
+            StreamingConfig(chunk_ns=1 * MSEC, margin_ns=5 * MSEC),
             victim_pct=99.0,
         )
-        streamed = streaming.run()
+        streamed = [d for chunk in chunks_of(streaming) for d in chunk.diagnoses]
 
         victims = sorted(
             VictimSelector(trace).hop_latency_victims(pct=99.0)
@@ -81,14 +71,12 @@ class TestStreamingEquivalence:
             assert s.victim == b.victim
             assert s.culprits == b.culprits
 
-    def test_chunks_cover_run(self, interrupt_chain_trace, reuse):
+    def test_chunks_cover_run(self, interrupt_chain_trace, chunks_of):
         streaming = StreamingDiagnosis(
             interrupt_chain_trace,
-            StreamingConfig(
-                chunk_ns=2 * MSEC, margin_ns=2 * MSEC, reuse_engine=reuse
-            ),
+            StreamingConfig(chunk_ns=2 * MSEC, margin_ns=2 * MSEC),
         )
-        chunks = list(streaming.chunks())
+        chunks = chunks_of(streaming)
         assert chunks
         victims_total = sum(len(c.victims) for c in chunks)
         assert victims_total == len(streaming._all_victims)
@@ -96,35 +84,28 @@ class TestStreamingEquivalence:
 
 class TestRebuildMarginSemantics:
     def test_standing_queue_survives_tiny_margin(self, interrupt_chain_trace):
-        """Rebuild mode seeds each window with the standing queue at its
-        boundary, so even with zero lookback a chunk opening mid-buildup
-        keeps the queue it inherited: total culprit score (== queue length
-        behind each victim) matches the generous-margin run.  The margin
-        still matters for upstream evidence, which margin_exceeded flags.
-        (Reuse mode is margin-exact; see test_streaming_fastpath.)"""
+        """An engine rebuilt at a chunk that opens mid-buildup still sees
+        the whole queue it inherited, even with zero lookback: it indexes
+        the full trace, never a window of it, so every diagnosis equals
+        the generous-margin run's.  The margin only shows in what gets
+        flagged."""
         trace = interrupt_chain_trace
         # Chunks shorter than the post-interrupt drain, so victims'
-        # queuing periods start before their chunk and would have been
-        # truncated without the standing-queue seed.
+        # queuing periods start before their chunk.
         full = StreamingDiagnosis(
-            trace,
-            StreamingConfig(
-                chunk_ns=MSEC // 4, margin_ns=5 * MSEC, reuse_engine=False
-            ),
+            trace, StreamingConfig(chunk_ns=MSEC // 4, margin_ns=5 * MSEC)
         ).run()
-        clipped_chunks = list(
+        clipped_chunks = rebuilt_chunks(
             StreamingDiagnosis(
-                trace,
-                StreamingConfig(
-                    chunk_ns=MSEC // 4, margin_ns=0, reuse_engine=False
-                ),
-            ).chunks()
+                trace, StreamingConfig(chunk_ns=MSEC // 4, margin_ns=0)
+            )
         )
         clipped = [d for c in clipped_chunks for d in c.diagnoses]
-        assert len(full) == len(clipped)
-        full_scores = sum(d.total_score for d in full)
-        clipped_scores = sum(d.total_score for d in clipped)
-        assert clipped_scores == pytest.approx(full_scores)
-        # Periods reaching the window boundary are still flagged: the seed
-        # restores the queue length, not the pre-window upstream evidence.
+        assert [d.culprits for d in clipped] == [d.culprits for d in full]
+        assert any(
+            d.period is not None and d.period.start_ns < c.start_ns
+            for c in clipped_chunks
+            for d in c.diagnoses
+        ), "workload must exercise periods that start before their chunk"
+        # Periods reaching behind the window boundary are still flagged.
         assert sum(c.margin_exceeded for c in clipped_chunks) > 0

@@ -2,9 +2,9 @@
 
 ISSUE 2 pins three contracts on the incremental streaming engine:
 
-* equivalence — ``StreamingDiagnosis.run()`` with engine reuse is
+* equivalence — ``StreamingDiagnosis.run()`` with the carried engine is
   bit-identical to batch ``diagnose_all`` (for *any* chunk size/margin)
-  and to the per-chunk-rebuild path when the margin is sufficient,
+  and to an engine rebuilt at every chunk (the restore path),
 * chunk-boundary correctness — victims whose queuing periods straddle a
   chunk boundary are diagnosed against their full period, and a
   margin-too-small configuration is detected and reported,
@@ -23,10 +23,13 @@ from repro.core.diagnosis import (
     _diagnosis_from_wire,
     _diagnosis_to_wire,
 )
-from repro.core.queuing import QueuingAnalyzer
+from repro.core.records import DiagTrace, NFView, PacketHop, PacketView
 from repro.core.streaming import StreamingConfig, StreamingDiagnosis
-from repro.core.victims import VictimSelector
+from repro.core.victims import Victim, VictimSelector
+from repro.nfv.packet import FiveTuple
 from repro.util.timebase import MSEC, USEC
+from tests.core.test_streaming import rebuilt_chunks
+from tests.oracles.engine import OracleEngine, streaming_through
 
 
 def canonical_bytes(diagnoses) -> bytes:
@@ -68,9 +71,7 @@ class TestReuseEquivalence:
     ):
         streamed = StreamingDiagnosis(
             interrupt_chain_trace,
-            StreamingConfig(
-                chunk_ns=chunk_ns, margin_ns=margin_ns, reuse_engine=True
-            ),
+            StreamingConfig(chunk_ns=chunk_ns, margin_ns=margin_ns),
             victim_pct=99.0,
         ).run()
         assert canonical_bytes(streamed) == canonical_bytes(batch_reference)
@@ -78,13 +79,14 @@ class TestReuseEquivalence:
     def test_bit_identical_to_rebuild_with_sufficient_margin(
         self, interrupt_chain_trace, batch_reference
     ):
-        rebuilt = StreamingDiagnosis(
-            interrupt_chain_trace,
-            StreamingConfig(
-                chunk_ns=1 * MSEC, margin_ns=5 * MSEC, reuse_engine=False
-            ),
-            victim_pct=99.0,
-        ).run()
+        chunks = rebuilt_chunks(
+            StreamingDiagnosis(
+                interrupt_chain_trace,
+                StreamingConfig(chunk_ns=1 * MSEC, margin_ns=5 * MSEC),
+                victim_pct=99.0,
+            )
+        )
+        rebuilt = [d for chunk in chunks for d in chunk.diagnoses]
         assert canonical_bytes(rebuilt) == canonical_bytes(batch_reference)
 
     def test_reuse_with_workers_identical(
@@ -92,7 +94,7 @@ class TestReuseEquivalence:
     ):
         streamed = StreamingDiagnosis(
             interrupt_chain_trace,
-            StreamingConfig(chunk_ns=2 * MSEC, margin_ns=MSEC, reuse_engine=True),
+            StreamingConfig(chunk_ns=2 * MSEC, margin_ns=MSEC),
             victim_pct=99.0,
             workers=2,
         ).run()
@@ -102,13 +104,68 @@ class TestReuseEquivalence:
     def test_backends_identical_through_streaming(
         self, interrupt_chain_trace, batch_reference, backend
     ):
-        streamed = StreamingDiagnosis(
-            interrupt_chain_trace,
-            StreamingConfig(chunk_ns=1 * MSEC, margin_ns=MSEC, reuse_engine=True),
-            victim_pct=99.0,
-            backend=backend,
-        ).run()
+        """The pure-Python oracle engine and the production (numpy) one
+        stream to the same bytes as production batch diagnosis."""
+        engine_class = {"python": OracleEngine, "numpy": MicroscopeEngine}[backend]
+        with streaming_through(engine_class):
+            streamed = StreamingDiagnosis(
+                interrupt_chain_trace,
+                StreamingConfig(chunk_ns=1 * MSEC, margin_ns=MSEC),
+                victim_pct=99.0,
+            ).run()
         assert canonical_bytes(streamed) == canonical_bytes(batch_reference)
+
+
+class TestLateDrop:
+    def test_drop_after_last_departure_is_streamed(self):
+        """A queue that overflows while the trace is cut off with its
+        contents undeparted: the drop lies chunks past the final
+        departure.  Streaming must run as far as the last victim, not the
+        last departure, or streamed != batch."""
+        flow = FiveTuple.of("10.0.0.1", "20.0.0.1", 1111, 80)
+        served = PacketView(
+            pid=0,
+            flow=flow,
+            source="src",
+            emitted_ns=50,
+            hops=[PacketHop(nf="nf", arrival_ns=100, read_ns=110, depart_ns=200)],
+            exited_ns=200,
+        )
+        dropped = PacketView(
+            pid=1,
+            flow=flow,
+            source="src",
+            emitted_ns=5_400,
+            dropped_at="nf",
+            dropped_ns=5_500,
+        )
+        trace = DiagTrace(
+            packets={0: served, 1: dropped},
+            nfs={
+                "nf": NFView(
+                    name="nf",
+                    peak_rate_pps=1e6,
+                    arrivals=[(100, 0)],
+                    reads=[(110, 0)],
+                    departs=[(200, 0)],
+                    drops=[(5_500, 1)],
+                )
+            },
+            upstreams={"nf": {"src"}},
+            sources={"src"},
+        )
+        drop = Victim(pid=1, nf="nf", kind="drop", arrival_ns=5_500, metric=0.0)
+        assert VictimSelector(trace).drop_victims() == [drop]
+        batch = MicroscopeEngine(trace).diagnose_all([drop])
+        streaming = StreamingDiagnosis(
+            trace,
+            StreamingConfig(chunk_ns=1_000, margin_ns=0),
+            victim_threshold_ns=1_000,  # no latency victims: the drop alone
+        )
+        assert streaming.n_chunks() == 6
+        streamed = streaming.run()
+        assert [d.victim for d in streamed] == [drop]
+        assert canonical_bytes(streamed) == canonical_bytes(batch)
 
 
 class TestChunkBoundaries:
@@ -120,7 +177,7 @@ class TestChunkBoundaries:
         chunk_ns = MSEC // 4
         streaming = StreamingDiagnosis(
             trace,
-            StreamingConfig(chunk_ns=chunk_ns, margin_ns=0, reuse_engine=True),
+            StreamingConfig(chunk_ns=chunk_ns, margin_ns=0),
             victim_pct=99.0,
         )
         straddlers = 0
@@ -143,25 +200,30 @@ class TestChunkBoundaries:
     def test_margin_too_small_detected_in_reuse_mode(self, interrupt_chain_trace):
         streaming = StreamingDiagnosis(
             interrupt_chain_trace,
-            StreamingConfig(chunk_ns=MSEC // 4, margin_ns=0, reuse_engine=True),
+            StreamingConfig(chunk_ns=MSEC // 4, margin_ns=0),
             victim_pct=99.0,
         )
         chunks = list(streaming.chunks())
         assert sum(c.margin_exceeded for c in chunks) > 0
 
     def test_margin_too_small_detected_in_rebuild_mode(self, interrupt_chain_trace):
-        streaming = StreamingDiagnosis(
-            interrupt_chain_trace,
-            StreamingConfig(chunk_ns=MSEC // 4, margin_ns=0, reuse_engine=False),
-            victim_pct=99.0,
+        """An engine rebuilt at every chunk flags exactly what the carried
+        one does: the predicate reads exact periods either way."""
+        config = StreamingConfig(chunk_ns=MSEC // 4, margin_ns=0)
+        rebuilt = rebuilt_chunks(
+            StreamingDiagnosis(interrupt_chain_trace, config, victim_pct=99.0)
         )
-        chunks = list(streaming.chunks())
-        assert sum(c.margin_exceeded for c in chunks) > 0
+        carried = StreamingDiagnosis(
+            interrupt_chain_trace, config, victim_pct=99.0
+        ).chunks()
+        flagged = [c.margin_exceeded for c in rebuilt]
+        assert sum(flagged) > 0
+        assert flagged == [c.margin_exceeded for c in carried]
 
     def test_sufficient_margin_not_flagged(self, interrupt_chain_trace):
         streaming = StreamingDiagnosis(
             interrupt_chain_trace,
-            StreamingConfig(chunk_ns=1 * MSEC, margin_ns=5 * MSEC, reuse_engine=True),
+            StreamingConfig(chunk_ns=1 * MSEC, margin_ns=5 * MSEC),
             victim_pct=99.0,
         )
         chunks = list(streaming.chunks())
@@ -172,7 +234,7 @@ class TestCarryEvictCounters:
     def test_counters_balance(self, interrupt_chain_trace):
         streaming = StreamingDiagnosis(
             interrupt_chain_trace,
-            StreamingConfig(chunk_ns=MSEC // 2, margin_ns=MSEC, reuse_engine=True),
+            StreamingConfig(chunk_ns=MSEC // 2, margin_ns=MSEC),
             victim_pct=99.0,
         )
         chunks = list(streaming.chunks())
@@ -189,7 +251,7 @@ class TestCarryEvictCounters:
         streaming = StreamingDiagnosis(
             interrupt_chain_trace,
             StreamingConfig(
-                chunk_ns=MSEC // 4, margin_ns=5 * MSEC, reuse_engine=True
+                chunk_ns=MSEC // 4, margin_ns=5 * MSEC
             ),
             victim_pct=99.0,
         )
@@ -199,7 +261,7 @@ class TestCarryEvictCounters:
     def test_zero_margin_evicts(self, interrupt_chain_trace):
         streaming = StreamingDiagnosis(
             interrupt_chain_trace,
-            StreamingConfig(chunk_ns=MSEC // 2, margin_ns=0, reuse_engine=True),
+            StreamingConfig(chunk_ns=MSEC // 2, margin_ns=0),
             victim_pct=99.0,
         )
         list(streaming.chunks())
@@ -210,13 +272,13 @@ class TestCarryEvictCounters:
         of reusing, but never changes the output."""
         evicting = StreamingDiagnosis(
             interrupt_chain_trace,
-            StreamingConfig(chunk_ns=MSEC // 2, margin_ns=0, reuse_engine=True),
+            StreamingConfig(chunk_ns=MSEC // 2, margin_ns=0),
             victim_pct=99.0,
         )
         retaining = StreamingDiagnosis(
             interrupt_chain_trace,
             StreamingConfig(
-                chunk_ns=MSEC // 2, margin_ns=10 * MSEC, reuse_engine=True
+                chunk_ns=MSEC // 2, margin_ns=10 * MSEC
             ),
             victim_pct=99.0,
         )
@@ -227,12 +289,14 @@ class TestCarryEvictCounters:
         )
 
     def test_rebuild_mode_reports_zero_counters(self, interrupt_chain_trace):
+        """An engine rebuilt at a chunk (the restore path) carried nothing
+        into it, and its counters say so."""
         streaming = StreamingDiagnosis(
             interrupt_chain_trace,
-            StreamingConfig(chunk_ns=1 * MSEC, margin_ns=MSEC, reuse_engine=False),
+            StreamingConfig(chunk_ns=1 * MSEC, margin_ns=MSEC),
             victim_pct=99.0,
         )
-        for chunk in streaming.chunks():
+        for chunk in rebuilt_chunks(streaming):
             assert chunk.carried_entries == 0
             assert chunk.evicted_entries == 0
             assert chunk.cross_chunk_hits == 0
@@ -296,7 +360,7 @@ class TestChunkAddressingAPI:
     CFG = None  # set in setup to share across tests
 
     def _streaming(self, trace, **overrides):
-        kwargs = dict(chunk_ns=MSEC // 2, margin_ns=MSEC, reuse_engine=True)
+        kwargs = dict(chunk_ns=MSEC // 2, margin_ns=MSEC)
         kwargs.update(overrides)
         return StreamingDiagnosis(
             trace, StreamingConfig(**kwargs), victim_pct=99.0
@@ -378,13 +442,6 @@ class TestChunkAddressingAPI:
         with pytest.raises(DiagnosisError, match="open"):
             streaming.diagnose_chunk(0)
 
-    def test_open_requires_reuse_engine(self, interrupt_chain_trace):
-        from repro.errors import DiagnosisError
-
-        streaming = self._streaming(interrupt_chain_trace, reuse_engine=False)
-        with pytest.raises(DiagnosisError, match="reuse_engine"):
-            streaming.open(0)
-
     def test_generation_restore_rejects_rewind(self, interrupt_chain_trace):
         from repro.errors import DiagnosisError
 
@@ -409,13 +466,12 @@ class TestChunkAddressingAPI:
 
 
 class TestQueuingBackends:
-    def test_explicit_backend_is_respected(self, interrupt_chain_trace):
-        view = interrupt_chain_trace.nfs["vpn1"]
-        assert QueuingAnalyzer(view, backend="python").backend == "python"
-
     def test_unknown_backend_rejected(self, interrupt_chain_trace):
-        from repro.errors import DiagnosisError
-
-        view = interrupt_chain_trace.nfs["vpn1"]
-        with pytest.raises(DiagnosisError):
-            QueuingAnalyzer(view, backend="cupy")
+        """No engine, however reached, takes a ``backend`` any more."""
+        with pytest.raises(TypeError):
+            MicroscopeEngine(interrupt_chain_trace, backend="python")
+        streaming = StreamingDiagnosis(
+            interrupt_chain_trace, StreamingConfig(), backend="python"
+        )
+        with pytest.raises(TypeError):
+            streaming.open(0)

@@ -11,13 +11,6 @@ from tests.conftest import run_interrupt_chain
 from tests.conftest import shm_segments  # noqa: F401 - test_pool imports it from here
 
 
-@pytest.fixture(autouse=True)
-def columnar_backend(monkeypatch):
-    """The warm-pool shm path is a columnar feature; pin the backend so the
-    suite behaves identically under ``REPRO_TRACE_BACKEND=python``."""
-    monkeypatch.setenv("REPRO_TRACE_BACKEND", "columnar")
-
-
 @pytest.fixture(scope="module")
 def chain():
     trace = DiagTrace.from_sim_result(run_interrupt_chain())

@@ -17,7 +17,7 @@ import time
 import pytest
 
 import repro.core.diagnosis as diagnosis_mod
-from repro.core.columnar import shm_available
+from repro.core import columnar
 from repro.core.diagnosis import MicroscopeEngine
 from repro.errors import FleetError
 from repro.fleet import WorkerPool
@@ -26,8 +26,13 @@ from tests.core.test_fastpath import canonical_bytes
 from tests.fleet.conftest import shm_segments
 
 pytestmark = pytest.mark.skipif(
-    not shm_available(), reason="no shared memory / numpy on this platform"
+    not columnar.shm_available(), reason="no shared memory on this platform"
 )
+
+#: A well-formed task no worker will ever run (the pool under test is
+#: saturated or closed): an empty victim range of a segment that need not
+#: exist.
+NOOP_TASK = ("shm", "psm_none", "psm_none", 0, 0, ())
 
 
 class TestPooledDispatch:
@@ -124,22 +129,32 @@ class TestCrossPipelineDispatch:
         with WorkerPool(1) as pool:
             worker = pool._free.get()
             try:
-                assert pool.submit(("pickle", (), []), timeout=0) is None
-                assert pool.submit(("pickle", (), []), timeout=0.05) is None
+                assert pool.submit(NOOP_TASK, timeout=0) is None
+                assert pool.submit(NOOP_TASK, timeout=0.05) is None
             finally:
                 pool._free.put(worker)
 
 
-class TestPickleFallback:
-    def test_object_backend_dispatches_pickle_tasks(self, chain, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_BACKEND", "python")
+class TestShareFailure:
+    def test_unshareable_victims_run_serially_in_thread(self, chain, monkeypatch):
+        """``/dev/shm`` exhausted mid-call: with no victim block there is
+        nothing to hand a worker, so every shard takes the in-thread
+        serial path lost shards take — same bytes, nothing submitted,
+        nothing leaked (the leak guard checks segments and children)."""
         trace, victims = chain
+
+        def exhausted(_victims, _cols):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(columnar, "share_victims", exhausted)
         with WorkerPool(2) as pool:
             engine = MicroscopeEngine(trace)
-            pooled = engine.diagnose_all(victims, workers=2, executor=pool)
-            assert engine.last_dispatch["mode"] == "pickle"
-            assert pool.stats.trace_shares == 0
-        assert canonical_bytes(pooled) == canonical_bytes(
+            result = engine.diagnose_all(victims, workers=2, executor=pool)
+            assert engine.last_dispatch["mode"] == "serial"
+            assert engine.last_dispatch["payload_bytes_per_task"] is None
+            assert pool.stats.tasks == 0
+            assert engine.cache_stats.worker_failures == 0
+        assert canonical_bytes(result) == canonical_bytes(
             MicroscopeEngine(trace).diagnose_all(victims)
         )
 
@@ -288,7 +303,7 @@ class TestCleanupContract:
         pool.close()
         assert all(not p.is_alive() for p in procs)
         with pytest.raises(FleetError):
-            pool.submit(("pickle", (), []))
+            pool.submit(NOOP_TASK)
 
     def test_simulated_crash_mid_dispatch_leaves_no_segments(
         self, chain, monkeypatch

@@ -216,18 +216,6 @@ class TestUnknownMutationsRebuildInFull:
         assert not self.rebuilt_in_full(restored.trace)
 
 
-def test_python_backend_does_not_accumulate_touched_pids(monkeypatch):
-    trace = settled_trace()
-    assert trace._delta.touched == {3}
-    monkeypatch.setenv("REPRO_TRACE_BACKEND", "python")
-    assert trace.columns() is None
-    for pid in range(100, 200):
-        trace._apply(emit_record("src-main", 0, pid, pid, FLOW))
-    assert trace._delta is None
-    monkeypatch.delenv("REPRO_TRACE_BACKEND")
-    assert_columns_match_oracle(trace, trace.columns())
-
-
 def test_small_pump_live_run_reuses_most_rows():
     """The wall-clock-free perf guard: over 40 sealed chunks fed in small
     pumps and pruned behind a retention window, at least four in five

@@ -15,9 +15,11 @@ The pinned invariants (ISSUE 5):
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
-from repro.core.records import DiagTrace
+from repro.core.records import DiagTrace, PacketView
 from repro.errors import ServiceError
 from repro.ingest import (
     DeadStreamTransport,
@@ -28,6 +30,7 @@ from repro.ingest import (
     SimTransport,
     TelemetryFeed,
 )
+from repro.ingest.records import drop_record, emit_record
 from repro.nfv.tap import LiveRecordTap
 from repro.service import (
     INGEST_KILL_POINTS,
@@ -39,7 +42,7 @@ from repro.service import (
     SimulatedCrash,
 )
 from repro.util.timebase import MSEC, USEC
-from tests.conftest import make_chain_topology, run_interrupt_chain
+from tests.conftest import MAIN_FLOW, make_chain_topology, run_interrupt_chain
 from tests.core.test_streaming_fastpath import canonical_bytes
 
 CHUNK_NS = 1 * MSEC
@@ -147,6 +150,50 @@ class TestLiveMatchesOffline:
             DiagnosisService(
                 make_source(records, chunk_ns=2 * CHUNK_NS), config(tmp_path)
             )
+
+    def test_drop_after_the_last_departure_is_diagnosed(self, tapped_run, tmp_path):
+        """A queue that overflows after everything else has departed (the
+        trace cut off with its contents still queued): the drop falls in a
+        later chunk than any departure, and both modes must run that far —
+        sizing the run by departures alone silently lost the victim."""
+        records, trace = tapped_run
+        last_ns = max(record.time_ns for record in records)
+        pid = max(record.pid for record in records) + 1
+        emit_ns, drop_ns = last_ns + 1, last_ns + 3 * CHUNK_NS
+        seq = {
+            stream: 1 + max(r.seq for r in records if r.stream == stream)
+            for stream in ("src-main", "nat1")
+        }
+        late = [
+            emit_record("src-main", seq["src-main"], emit_ns, pid, MAIN_FLOW.as_tuple()),
+            drop_record("nat1", seq["nat1"], drop_ns, pid),
+        ]
+        trace = copy.deepcopy(trace)  # the fixture is shared
+        trace.packets[pid] = PacketView(
+            pid=pid,
+            flow=MAIN_FLOW,
+            source="src-main",
+            emitted_ns=emit_ns,
+            dropped_at="nat1",
+            dropped_ns=drop_ns,
+        )
+        trace.nfs["nat1"].drops.append((drop_ns, pid))
+
+        offline = DiagnosisService(trace, config(tmp_path / "offline"))
+        offline_report = offline.run()
+        live = DiagnosisService(
+            make_source(list(records) + late), config(tmp_path / "live")
+        )
+        live_report = live.run()
+        assert live.journal.read_bytes() == offline.journal.read_bytes()
+        assert live_report.n_chunks == offline_report.n_chunks
+        assert offline_report.n_chunks == drop_ns // CHUNK_NS + 1
+        for report in (offline_report, live_report):
+            assert [
+                d.victim.arrival_ns
+                for d in report.diagnoses
+                if d.victim.kind == "drop" and d.victim.pid == pid
+            ] == [drop_ns]
 
     def test_offline_with_threshold_equals_offline(
         self, tapped_run, tmp_path, offline_reference
