@@ -173,17 +173,15 @@ def tally_from_journal(journal_path: Union[str, Path]) -> CulpritTally:
     service, just the append-only record of results.
     """
     from repro.aggregation.sketches import tally_from_payload
-    from repro.service.journal import ResultJournal, decode_diagnoses
+    from repro.service.journal import ResultJournal
 
     journal = ResultJournal(Path(journal_path), durable=False)
     compacted = journal.compacted_tally_payload()
     tally = (
         CulpritTally() if compacted is None else tally_from_payload(compacted)
     )
-    for _chunk, body in journal.records():
-        if "kind" in body:
-            continue
-        tally.update(decode_diagnoses(body))
+    for _end, diagnoses in journal.chunk_diagnoses():
+        tally.update(diagnoses)
     return tally
 
 

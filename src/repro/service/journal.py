@@ -15,9 +15,18 @@ discarded tail, so line-level CRCs only ever fire on real corruption
 :class:`~repro.errors.ServiceError` naming the file and line.
 
 Victims and diagnoses ride the engine's compact wire format
-(:func:`repro.core.diagnosis.diagnosis_to_wire`), tuple->list converted
-for JSON and converted back on read, so journalled results reconstruct to
-field-exact :class:`~repro.core.diagnosis.VictimDiagnosis` objects.
+(:func:`repro.core.diagnosis.diagnosis_to_wire`).  The wire tuples go to
+the JSON encoder as they are — it writes a tuple as an array — and
+:func:`decode_diagnoses` turns the arrays back into tuples on read, so
+journalled results reconstruct to field-exact
+:class:`~repro.core.diagnosis.VictimDiagnosis` objects.
+
+**Commit-path contract.**  A record is serialised once: ``append`` encodes
+the body, takes the CRC over exactly the bytes it is about to write and
+frames the line around them.  Nothing on the commit path reads the journal
+back; it is read on resume (tally rebuild, the report's prefix), when
+compaction folds sealed segments, and by offline recomputation
+(``tally_from_journal``, health reports).
 
 **Bounded disk (segment rotation + compaction).**  A week-long run cannot
 append to one file forever.  With ``rotate_bytes`` set, the active file
@@ -84,15 +93,9 @@ def victim_from_wire(wire) -> Victim:
     )
 
 
-def _jsonify(obj):
-    """Wire tuples -> JSON lists (the codec is tuples/str/int/float/None)."""
-    if isinstance(obj, tuple):
-        return [_jsonify(item) for item in obj]
-    return obj
-
-
 def _tupleize(obj):
-    """Inverse of :func:`_jsonify` — JSON lists back to wire tuples."""
+    """JSON arrays back to wire tuples (the read side only: the encoder
+    writes tuples as arrays unaided)."""
     if isinstance(obj, list):
         return tuple(_tupleize(item) for item in obj)
     return obj
@@ -118,8 +121,8 @@ def chunk_record(
     body = {
         "start_ns": result.start_ns,
         "end_ns": result.end_ns,
-        "victims": [_jsonify(victim_to_wire(v)) for v in result.victims],
-        "diagnoses": [_jsonify(diagnosis_to_wire(d)) for d in result.diagnoses],
+        "victims": [victim_to_wire(v) for v in result.victims],
+        "diagnoses": [diagnosis_to_wire(d) for d in result.diagnoses],
         "shed_pids": list(shed_pids),
         "margin_exceeded": result.margin_exceeded,
         "telemetry_completeness": result.telemetry_completeness,
@@ -164,21 +167,43 @@ def dead_letter_record(
         "attempts": attempts,
         "start_ns": start_ns,
         "end_ns": end_ns,
-        "victims": [_jsonify(victim_to_wire(v)) for v in victims],
+        "victims": [victim_to_wire(v) for v in victims],
     }
 
 
-def decode_diagnoses(body: dict) -> List[VictimDiagnosis]:
-    """Rebuild the chunk's diagnoses from a journalled body."""
-    victims = [victim_from_wire(_tupleize(w)) for w in body["victims"]]
-    diagnosed = []
-    wires = [_tupleize(w) for w in body["diagnoses"]]
-    # diagnose order == victim order within a chunk (diagnose_all contract);
-    # shed victims never reach the diagnosis list, so pair by position among
-    # the non-shed prefix the service actually diagnosed.
-    for victim, wire in zip(victims, wires):
-        diagnosed.append(diagnosis_from_wire(victim, wire))
-    return diagnosed
+def decode_diagnoses(
+    body: dict, chunk_index: Optional[int] = None
+) -> List[VictimDiagnosis]:
+    """Rebuild the chunk's diagnoses from a journalled body.
+
+    Diagnosis order is victim order within a chunk (``diagnose_all``
+    contract) and shed victims are journalled as ``shed_pids``, never in
+    ``victims``, so the two lists pair one to one.  A body where they do
+    not is damage a CRC cannot see (it was written that way); it is
+    refused rather than read as the shorter list.
+    """
+    victims, wires = body["victims"], body["diagnoses"]
+    if len(victims) != len(wires):
+        which = "" if chunk_index is None else f" {chunk_index}"
+        raise ServiceError(
+            f"journalled chunk{which} [{body.get('start_ns')}, "
+            f"{body.get('end_ns')}) ns pairs {len(victims)} victims with "
+            f"{len(wires)} diagnoses"
+        )
+    return [
+        diagnosis_from_wire(victim_from_wire(victim), _tupleize(wire))
+        for victim, wire in zip(victims, wires)
+    ]
+
+
+def _decoded_chunks(
+    records: Iterator[Tuple[int, dict, int]]
+) -> Iterator[Tuple[int, List[VictimDiagnosis]]]:
+    """(end offset, diagnoses) for each diagnosed chunk among ``records``
+    — tally snapshots and dead letters carry a ``kind`` and no diagnoses."""
+    for chunk_index, body, end in records:
+        if "kind" not in body:
+            yield end, decode_diagnoses(body, chunk_index)
 
 
 def _write_all(handle, data: bytes) -> None:
@@ -477,14 +502,21 @@ class ResultJournal:
 
     @staticmethod
     def _encode_line(chunk_index: int, body: dict) -> bytes:
-        blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
-        crc = zlib.crc32(blob.encode("utf-8"))
-        line = json.dumps(
-            {"chunk": chunk_index, "crc32": crc, "body": body},
-            sort_keys=True,
-            separators=(",", ":"),
+        """One journal line, its body serialised once.
+
+        The CRC covers exactly the body bytes the line carries, and the
+        frame around them is what ``json.dumps`` with ``sort_keys`` writes
+        for ``{"chunk": .., "crc32": .., "body": ..}`` — the format has not
+        changed (``tests/oracles/journal.py`` holds the two-pass encoder
+        this is pinned to).  ``ensure_ascii`` output is ASCII, so its bytes
+        are its UTF-8 bytes.
+        """
+        blob = json.dumps(body, sort_keys=True, separators=(",", ":")).encode(
+            "ascii"
         )
-        return line.encode("utf-8") + b"\n"
+        return b'{"body":%b,"chunk":%d,"crc32":%d}\n' % (
+            blob, chunk_index, zlib.crc32(blob),
+        )
 
     def append(
         self, chunk_index: int, body: dict, faults=None
@@ -617,10 +649,9 @@ class ResultJournal:
             tally = seed_tally
             segments_folded = chunks_folded = bytes_folded = 0
         for seg in candidates:
-            for _chunk, body in self._segment_records(seg, 0):
-                if "kind" in body:
-                    continue  # tally snapshots / dead letters: not folded
-                tally.update(decode_diagnoses(body))
+            records = self._file_records(seg.path, seg.base_offset, 0)
+            for _end, diagnoses in _decoded_chunks(records):
+                tally.update(diagnoses)
                 chunks_folded += 1
         last = candidates[-1]
         header = {
@@ -684,16 +715,45 @@ class ResultJournal:
             raise ServiceError(f"journal CRC mismatch at {where}")
         return chunk_index, body
 
-    def _segment_records(
-        self, seg: _Segment, local: int
-    ) -> Iterator[Tuple[int, dict]]:
-        with open(seg.path, "rb") as handle:
+    def _file_records(
+        self, path: Path, base: int, local: int
+    ) -> Iterator[Tuple[int, dict, int]]:
+        """(chunk_index, body, logical end offset) for each line of one
+        physical file (logical offset ``base``), from byte ``local`` on."""
+        end = base + local
+        with open(path, "rb") as handle:
             if local:
                 handle.seek(local)
             for lineno, raw in enumerate(handle, 1):
-                yield self._decode_line(
-                    raw, f"{seg.path}:{lineno}(+{local}B)"
+                end += len(raw)
+                chunk_index, body = self._decode_line(
+                    raw, f"{path}:{lineno}(+{local}B)"
                 )
+                yield chunk_index, body, end
+
+    def _located_records(
+        self, start_offset: Optional[int]
+    ) -> Iterator[Tuple[int, dict, int]]:
+        """:meth:`records` plus the logical offset each record ends at."""
+        if start_offset is None:
+            start_offset = self._retained_from
+        elif start_offset < self._retained_from:
+            raise ServiceError(
+                f"journal offset {start_offset} in {self.path} was "
+                f"compacted away (retained from {self._retained_from})"
+            )
+        for seg in self._segments:
+            if seg.base_offset + seg.nbytes <= start_offset:
+                continue
+            yield from self._file_records(
+                seg.path, seg.base_offset, max(0, start_offset - seg.base_offset)
+            )
+        if self.path.exists():
+            yield from self._file_records(
+                self.path,
+                self._active_base,
+                max(0, start_offset - self._active_base),
+            )
 
     def records(
         self, start_offset: Optional[int] = None
@@ -707,29 +767,18 @@ class ResultJournal:
         below the compaction floor raises — those records are gone and
         silently skipping them would misreport history.
         """
-        if start_offset is None:
-            start_offset = self._retained_from
-        elif start_offset < self._retained_from:
-            raise ServiceError(
-                f"journal offset {start_offset} in {self.path} was "
-                f"compacted away (retained from {self._retained_from})"
-            )
-        for seg in self._segments:
-            if seg.base_offset + seg.nbytes <= start_offset:
-                continue
-            yield from self._segment_records(
-                seg, max(0, start_offset - seg.base_offset)
-            )
-        local = max(0, start_offset - self._active_base)
-        if not self.path.exists():
-            return
-        with open(self.path, "rb") as handle:
-            if local:
-                handle.seek(local)
-            for lineno, raw in enumerate(handle, 1):
-                yield self._decode_line(
-                    raw, f"{self.path}:{lineno}(+{local}B)"
-                )
+        for chunk_index, body, _end in self._located_records(start_offset):
+            yield chunk_index, body
+
+    def chunk_diagnoses(
+        self, start_offset: Optional[int] = None
+    ) -> Iterator[Tuple[int, List[VictimDiagnosis]]]:
+        """Yield (end offset, diagnoses) per diagnosed chunk record from
+        ``start_offset`` on (as in :meth:`records`); tally snapshots and
+        dead letters are skipped.  The end offset is what :meth:`append`
+        returned for the record — at or below ``retained_from`` once
+        compaction has folded it."""
+        return _decoded_chunks(self._located_records(start_offset))
 
     def record_at(self, offset: int) -> Tuple[int, dict, int]:
         """The record starting at logical ``offset``: (chunk, body, next)."""
@@ -758,14 +807,8 @@ class ResultJournal:
             return chunk_index, body, self._active_base + handle.tell()
 
     def diagnoses(self) -> List[VictimDiagnosis]:
-        """Every retained journalled diagnosis, in chunk order
-        (tally snapshots and dead-letter records skipped)."""
-        results: List[VictimDiagnosis] = []
-        for _chunk, body in self.records():
-            if "kind" in body:
-                continue  # tally snapshot / dead letter, not a diagnosed chunk
-            results.extend(decode_diagnoses(body))
-        return results
+        """Every retained journalled diagnosis, in chunk order."""
+        return [d for _end, chunk in self.chunk_diagnoses() for d in chunk]
 
     def read_bytes(self) -> bytes:
         """The retained logical byte stream: sealed segments + active file."""

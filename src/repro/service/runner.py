@@ -20,6 +20,12 @@ diagnosis — which is deterministic and memo-result-invariant — re-runs
 the interrupted chunk to byte-identical journal lines.  There is no
 repair path anywhere: recovery is selection plus truncation.
 
+The commit path writes each verdict once and never reads it back:
+:class:`ServiceReport` lists the diagnoses of the chunks whose journal
+append returned, minus those compaction has since folded away — exactly
+what ``journal.diagnoses()`` would decode.  The journal itself is read
+only on resume (tally rebuild, the report's prefix) and by compaction.
+
 Load shedding is explicit and never silent: when a chunk's victim list
 exceeds ``max_victims_per_chunk``, the keep-set retains the worst victims
 (drops first, then by metric) and every shed pid is journalled with the
@@ -29,9 +35,10 @@ chunk and counted in :class:`ServiceStats`.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Deque, List, Optional, Tuple, Union
 
 import zlib
 
@@ -58,7 +65,6 @@ from repro.service.journal import (
     ResultJournal,
     chunk_record,
     dead_letter_record,
-    decode_diagnoses,
     tally_record,
 )
 from repro.service.source import FixedTraceSource, trace_fingerprint
@@ -394,6 +400,12 @@ class DiagnosisService:
             base_s=config.backoff_base_s,
             cap_s=config.backoff_cap_s,
         )
+        #: ``ServiceReport.diagnoses`` in the making: (journal end offset,
+        #: diagnoses) per retained diagnosed chunk, oldest first.  Filled
+        #: as chunks commit and trimmed as compaction folds their records,
+        #: so it always equals ``journal.chunk_diagnoses()`` without the
+        #: commit path ever reading the journal back.
+        self._reported: Deque[Tuple[int, List[VictimDiagnosis]]] = deque()
         # Engine worker counters are absolute per engine instance; the
         # service accumulates deltas so they survive engine re-opens.
         self._worker_failures_seen = 0
@@ -545,10 +557,8 @@ class DiagnosisService:
             if compacted is not None:
                 tally = tally_from_payload(compacted)
                 replay_from = self.journal.retained_from
-        for _chunk, body in self.journal.records(start_offset=replay_from):
-            if "kind" in body:
-                continue
-            tally.update(decode_diagnoses(body))
+        for _end, diagnoses in self.journal.chunk_diagnoses(replay_from):
+            tally.update(diagnoses)
         crc = zlib.crc32(canonical_payload_bytes(tally.to_payload()))
         if crc != digest["crc32"]:
             raise ServiceError(
@@ -681,6 +691,7 @@ class DiagnosisService:
             ),
             faults=faults,
         )
+        self._reported.append((offset, result.diagnoses))
         if faults is not None:
             faults.kill("after-journal", index)
         # Everything below folds the chunk into checkpointed state; the
@@ -777,6 +788,11 @@ class DiagnosisService:
         if reclaimed:
             self.stats.journal_compactions += 1
             self.stats.journal_bytes_compacted += reclaimed
+            # The folded records are gone from the journal; the report
+            # says what the journal retains, no more.
+            retained_from = self.journal.retained_from
+            while self._reported and self._reported[0][0] <= retained_from:
+                self._reported.popleft()
 
     def _compaction_floor(self) -> Optional[int]:
         """Lowest journal offset any retained checkpoint could still need.
@@ -916,6 +932,9 @@ class DiagnosisService:
     def run(self) -> ServiceReport:
         """Process every remaining chunk; resume from checkpoints first."""
         next_chunk = self._restore()
+        # The one journal read of a run: what an earlier process committed.
+        # A fresh start has just truncated the journal to nothing.
+        self._reported = deque(self.journal.chunk_diagnoses() if next_chunk else ())
         if self.source.live:
             n_chunks = self._run_live(next_chunk)
         else:
@@ -926,8 +945,10 @@ class DiagnosisService:
                 self._worker_timeouts_seen = 0
                 for index in range(next_chunk, n_chunks):
                     self._process_chunk(index)
+        diagnoses = [d for _end, chunk in self._reported for d in chunk]
+        self._reported.clear()  # handed over: the service keeps no verdicts
         return ServiceReport(
-            diagnoses=self.journal.diagnoses(),
+            diagnoses=diagnoses,
             tally=self.tally,
             stats=self.stats,
             n_chunks=n_chunks,
