@@ -41,7 +41,8 @@ explicit.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, replace as dc_replace
+import heapq
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.collector.health import TelemetryGap, TelemetryHealth
@@ -283,10 +284,13 @@ class IncrementalTrace(DiagTrace):
         self._degrade()
 
     def _reject(self, record: TelemetryRecord, kind: str) -> None:
+        self._reject_event(record.stream, record.time_ns, kind)
+
+    def _reject_event(self, stream: str, time_ns: int, kind: str) -> None:
         self.rejects += 1
-        last = self._last_time.get(record.stream, 0)
-        self._gap(record.stream, last, record.time_ns, kind, count=1)
-        self._account_loss(record.stream, 1)
+        last = self._last_time.get(stream, 0)
+        self._gap(stream, last, time_ns, kind, count=1)
+        self._account_loss(stream, 1)
 
     # -- ingestion --------------------------------------------------------------
 
@@ -431,10 +435,23 @@ class IncrementalTrace(DiagTrace):
     # With clock models enabled the "pop everything below the horizon,
     # sort, apply" drain no longer works: the sort key is the *repaired*
     # timestamp, and the repair function evolves as records are admitted.
-    # Instead records merge one at a time — repeatedly pick the eligible
-    # stream head with the minimal repaired key, pop it, and admit it
-    # inline (observations strictly after its repair is fixed, so the key
-    # used for ordering always equals the time that gets applied).
+    # Instead records merge one at a time through a heap of stream heads
+    # keyed ``(repaired time, stream, seq)``: pop the minimal key, admit
+    # that record inline at exactly that repaired time (observations come
+    # strictly after its repair is fixed, so the key used for ordering is
+    # the time that gets applied), then re-key only the popped stream.
+    #
+    # Heap invariant: a head's key is a pure function of its own stream's
+    # admitted prefix — the stream's clock model, its last repaired time
+    # (``_last_time``) and its buffer head.  Only admitting one of that
+    # stream's own records changes any of the three: pair observations
+    # read the packet's repaired source emit and write only the observing
+    # stream's model, and a freeze quarantines only its own stream.  So
+    # every key in the heap stays exact while other streams advance, and
+    # the heap minimum is the head a rescan of every stream would pick.  A
+    # head past the horizon (or at it, behind the tie limit) cannot change
+    # until it is popped, so it blocks its FIFO stream for the rest of the
+    # drain: that stream simply stays out of the heap.
     #
     # Determinism argument: a stream's model mutates only when one of its
     # own records is admitted, in sequence order, and pair observations
@@ -444,7 +461,11 @@ class IncrementalTrace(DiagTrace):
     # ``s``'s ``k``-th record is therefore a pure function of per-stream
     # record prefixes — independent of transport batching — which is
     # what keeps sealed chunks byte-identical across crash/restart and
-    # socket-timing variation.
+    # socket-timing variation.  The heap is a snapshot of the buffers when
+    # the drain starts: a stream that is empty then (or that a receive
+    # thread refills after it ran dry) joins at the next ``ingest()``,
+    # exactly as if its records had arrived one pump later — which, by
+    # the same argument, cannot change what gets admitted.
 
     def _repair_time(self, stream: str, raw_ns: int) -> int:
         """Raw timestamp → repaired timestamp (model + monotone clamp).
@@ -476,24 +497,25 @@ class IncrementalTrace(DiagTrace):
                 self._excluded.add(stream)
                 self.health.quarantined.add(stream)
 
-    def _admit_clocked(self, record: TelemetryRecord) -> bool:
-        """Repair, observe, and apply one popped record (clocked mode)."""
+    def _admit_clocked(self, record: TelemetryRecord, rep: int) -> bool:
+        """Observe and apply one popped record at its repaired key ``rep``
+        (clocked mode)."""
         stream = record.stream
         raw = record.time_ns
-        rep = self._repair_time(stream, raw)
+        clock = self.clock
         self._last_time[stream] = rep
-        local_faults = self.clock.observe_local(stream, raw)
-        self._clock_faults(stream, rep, local_faults)
+        faults = clock.observe_local(stream, raw)
+        if faults:
+            self._clock_faults(stream, rep, faults)
         if stream in self._excluded:
             # The freeze that quarantined the stream fired on this very
             # record: its timestamp is meaningless, discard it.
             self.rejects += 1
             return False
-        if (
-            record.kind == "hop"
-            and len(record.data) == 2
-            and 0 <= record.data[0] <= record.data[1] <= raw
-        ):
+        kind = record.kind
+        data = record.data
+        hop = kind == "hop" and len(data) == 2
+        if hop and 0 <= data[0] <= data[1] <= raw:
             packet = self.packets.get(record.pid)
             if packet is not None:
                 # Huygens pair: the packet's repaired source emit is the
@@ -507,31 +529,47 @@ class IncrementalTrace(DiagTrace):
                 # prefixes, independent of transport batching), and an
                 # upstream NF's clock fault cannot leak into this
                 # stream's model through the reference.
-                pair_faults = self.clock.observe_pair(
-                    stream, packet.emitted_ns, record.data[0]
-                )
-                self._clock_faults(stream, rep, pair_faults)
+                faults = clock.observe_pair(stream, packet.emitted_ns, data[0])
+                if faults:
+                    self._clock_faults(stream, rep, faults)
         delta = rep - raw
         if delta != 0:
-            self.clock.repairs += 1
-            if record.kind == "hop" and len(record.data) == 2:
-                arrival = max(0, record.data[0] + delta)
-                read = max(0, record.data[1] + delta)
-                read = min(read, rep)
-                arrival = min(arrival, read)
-                record = dc_replace(record, time_ns=rep, data=(arrival, read))
-            else:
-                record = dc_replace(record, time_ns=rep)
-        return self._apply(record)
+            clock.repairs += 1
+            if hop:
+                read = min(max(0, data[1] + delta), rep)
+                arrival = min(max(0, data[0] + delta), read)
+                data = (arrival, read)
+        return self._apply_event(stream, kind, rep, record.pid, data)
+
+    def _head_key(
+        self,
+        stream: str,
+        head: Optional[TelemetryRecord],
+        horizon: Optional[int],
+        tie_limit: Optional[str],
+    ) -> Optional[Tuple[int, str, int]]:
+        """Merge key of ``stream``'s buffer head, or None when the stream
+        has nothing eligible to admit in this drain."""
+        if head is None:
+            return None
+        rep = self._repair_time(stream, head.time_ns)
+        if horizon is not None and (
+            rep > horizon
+            or (rep == horizon and tie_limit is not None and stream > tie_limit)
+        ):
+            return None
+        return (rep, stream, head.seq)
 
     def _drain_clocked(self, feed: TelemetryFeed, horizon: Optional[int]) -> int:
-        """Pick-min merge: admit eligible heads in repaired-key order.
+        """Heap-keyed merge: admit eligible heads in repaired-key order.
 
         Same tie rule as :meth:`_drain`, on the repaired clock: records
         *at* the horizon drain only for streams named at or below the
         smallest live stream whose effective watermark equals the
         horizon — later-named streams' horizon records could still be
-        preceded by that stream's future deliveries.
+        preceded by that stream's future deliveries.  One key is
+        computed per popped record: only the popped stream is re-keyed
+        (see the heap invariant above).
         """
         tie_limit: Optional[str] = None
         if horizon is not None:
@@ -542,54 +580,55 @@ class IncrementalTrace(DiagTrace):
                 if wm == horizon:
                     tie_limit = stream
                     break
+        buffers = feed.buffers
+        heap: List[Tuple[int, str, int]] = []
+        for stream, buffer in buffers.items():
+            if stream not in self._excluded:
+                key = self._head_key(stream, buffer.head(), horizon, tie_limit)
+                if key is not None:
+                    heap.append(key)
+        heapq.heapify(heap)
+        barrier = self._seal_barrier_ns(self._next_health_chunk)
         applied = 0
-        while True:
-            best_key: Optional[Tuple[int, str, int]] = None
-            for stream in feed.buffers:
-                if stream in self._excluded:
-                    continue
-                buffer = feed.buffers[stream]
-                if not buffer:
-                    continue
-                head = buffer.head()
-                rep = self._repair_time(stream, head.time_ns)
-                if horizon is not None:
-                    if rep > horizon:
-                        continue
-                    if rep == horizon and tie_limit is not None and stream > tie_limit:
-                        continue
-                key = (rep, stream, head.seq)
-                if best_key is None or key < best_key:
-                    best_key = key
-            if best_key is None:
-                break
-            # Freeze per-chunk health before the admitted prefix crosses
-            # a pending seal barrier (see _snapshot_health_through).
-            self._snapshot_health_through(best_key[0])
-            stream = best_key[1]
-            record = feed.buffers[stream].pop()
+        while heap:
+            rep, stream, seq = heap[0]
+            if rep >= barrier:
+                # Freeze per-chunk health before the admitted prefix
+                # crosses a pending seal barrier (see
+                # _snapshot_health_through).
+                self._snapshot_health_through(rep)
+                barrier = self._seal_barrier_ns(self._next_health_chunk)
+            buffer = buffers[stream]
+            record = buffer.pop()
             expected = self._next_seq.get(stream, 0)
-            if record.seq < expected:
+            if seq < expected:
                 self.duplicates += 1
-                continue
-            if record.seq > expected:
-                missing = record.seq - expected
-                self._gap(
-                    stream,
-                    self._last_time.get(stream, 0),
-                    best_key[0],
-                    "loss",
-                    count=missing,
-                )
-                self._account_loss(stream, missing)
-            self._next_seq[stream] = record.seq + 1
-            if self._admit_clocked(record):
-                applied += 1
-                self._ok[stream] = self._ok.get(stream, 0) + 1
-                if stream in self.health.completeness:
-                    ok = self._ok[stream]
-                    lost = self._lost.get(stream, 0)
-                    self.health.completeness[stream] = ok / (ok + lost)
+            else:
+                if seq > expected:
+                    missing = seq - expected
+                    self._gap(
+                        stream,
+                        self._last_time.get(stream, 0),
+                        rep,
+                        "loss",
+                        count=missing,
+                    )
+                    self._account_loss(stream, missing)
+                self._next_seq[stream] = seq + 1
+                if self._admit_clocked(record, rep):
+                    applied += 1
+                    self._ok[stream] = self._ok.get(stream, 0) + 1
+                    if stream in self.health.completeness:
+                        ok = self._ok[stream]
+                        lost = self._lost.get(stream, 0)
+                        self.health.completeness[stream] = ok / (ok + lost)
+            key = None
+            if stream not in self._excluded:
+                key = self._head_key(stream, buffer.head(), horizon, tie_limit)
+            if key is None:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, key)
         for stream in sorted(self._excluded):
             buffer = feed.buffers.get(stream)
             if buffer is None:
@@ -621,48 +660,56 @@ class IncrementalTrace(DiagTrace):
         return applied
 
     def _apply(self, record: TelemetryRecord) -> bool:
-        stream = record.stream
-        if record.pid < 0:
-            self._reject(record, "loss")
+        return self._apply_event(
+            record.stream, record.kind, record.time_ns, record.pid, record.data
+        )
+
+    def _apply_event(
+        self, stream: str, kind: str, time_ns: int, pid: int, data: Tuple[int, ...]
+    ) -> bool:
+        """Apply one record's fields (``time_ns`` already repaired in
+        clocked mode); False if it was rejected into a health gap."""
+        if pid < 0:
+            self._reject_event(stream, time_ns, "loss")
             return False
-        if record.kind == "emit":
-            if stream not in self.sources or len(record.data) != 5:
-                self._reject(record, "loss")
+        if kind == "emit":
+            if stream not in self.sources or len(data) != 5:
+                self._reject_event(stream, time_ns, "loss")
                 return False
-            if record.pid in self.packets:
-                self._reject(record, "loss")
+            if pid in self.packets:
+                self._reject_event(stream, time_ns, "loss")
                 return False
-            self.packets[record.pid] = PacketView(
-                pid=record.pid,
-                flow=FiveTuple(*record.data),
+            self.packets[pid] = PacketView(
+                pid=pid,
+                flow=FiveTuple(*data),
                 source=stream,
-                emitted_ns=record.time_ns,
+                emitted_ns=time_ns,
             )
-            self._mark_mutated(record.pid)  # its column rows must rebuild
+            self._mark_mutated(pid)  # its column rows must rebuild
             return True
         view = self.nfs.get(stream)
         if view is None:
-            self._reject(record, "loss")
+            self._reject_event(stream, time_ns, "loss")
             return False
-        packet = self.packets.get(record.pid)
+        packet = self.packets.get(pid)
         if packet is None:
             # The emit that named this packet never arrived: the chain is
             # broken and the evidence cannot be attached anywhere.
-            self._reject(record, "chain-break")
+            self._reject_event(stream, time_ns, "chain-break")
             return False
-        if record.kind == "hop":
-            if len(record.data) != 2:
-                self._reject(record, "loss")
+        if kind == "hop":
+            if len(data) != 2:
+                self._reject_event(stream, time_ns, "loss")
                 return False
-            arrival_ns, read_ns = record.data
-            if not 0 <= arrival_ns <= read_ns <= record.time_ns:
-                self._reject(record, "loss")
+            arrival_ns, read_ns = data
+            if not 0 <= arrival_ns <= read_ns <= time_ns:
+                self._reject_event(stream, time_ns, "loss")
                 return False
             hop = PacketHop(
                 nf=stream,
                 arrival_ns=arrival_ns,
                 read_ns=read_ns,
-                depart_ns=record.time_ns,
+                depart_ns=time_ns,
             )
             hops = packet.hops
             depth = self._depth.get(stream, 0)
@@ -679,22 +726,22 @@ class IncrementalTrace(DiagTrace):
                 hops.append(hop)
             else:
                 hops.insert(index, hop)
-            _insert_sorted(view.arrivals, (arrival_ns, record.pid))
-            _insert_sorted(view.reads, (read_ns, record.pid))
-            _insert_sorted(view.departs, (record.time_ns, record.pid))
-            if record.time_ns > self._max_depart_ns:
-                self._max_depart_ns = record.time_ns
-        elif record.kind == "drop":
+            _insert_sorted(view.arrivals, (arrival_ns, pid))
+            _insert_sorted(view.reads, (read_ns, pid))
+            _insert_sorted(view.departs, (time_ns, pid))
+            if time_ns > self._max_depart_ns:
+                self._max_depart_ns = time_ns
+        elif kind == "drop":
             packet.dropped_at = stream
-            packet.dropped_ns = record.time_ns
-            _insert_sorted(view.drops, (record.time_ns, record.pid))
+            packet.dropped_ns = time_ns
+            _insert_sorted(view.drops, (time_ns, pid))
             # A drop is a victim: the run must reach the chunk it falls in
             # even when nothing departs that late.
-            if record.time_ns > self._max_depart_ns:
-                self._max_depart_ns = record.time_ns
+            if time_ns > self._max_depart_ns:
+                self._max_depart_ns = time_ns
         else:  # exit
-            packet.exited_ns = record.time_ns
-        self._mark_mutated(record.pid)  # its column rows must rebuild
+            packet.exited_ns = time_ns
+        self._mark_mutated(pid)  # its column rows must rebuild
         return True
 
     def ingest(self, feed: TelemetryFeed) -> int:

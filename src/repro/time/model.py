@@ -513,6 +513,8 @@ class ClockBank:
     def _wrap(
         self, stream: str, at_ns: int, raw_faults: List[Tuple[str, float]]
     ) -> List[ClockFault]:
+        if not raw_faults:
+            return []
         faults = [
             ClockFault(stream=stream, kind=kind, at_ns=at_ns, magnitude=magnitude)
             for kind, magnitude in raw_faults

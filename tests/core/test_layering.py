@@ -10,6 +10,10 @@ There is also one diagnosis path through it: numpy is a dependency, not a
 backend.  Nothing under ``src/repro/core/`` may read the environment or
 guard ``import numpy`` against ``ImportError`` (how alternative paths got
 selected), and the pool ships one task kind.
+
+The live merge in ``repro.ingest.incremental`` applies repaired times as
+fields; it never rebuilds a frozen record, so it does not import
+``dataclasses.replace`` under any name.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from pathlib import Path
 
 import repro.core
 import repro.fleet.pool
+import repro.ingest.incremental
 
 CORE = Path(repro.core.__file__).parent
 
@@ -106,3 +111,26 @@ def test_pool_has_no_pickle_task_kind():
         if isinstance(node, ast.Constant) and node.value == "pickle"
     ]
     assert not offenders, f"'pickle' string constant in pool.py at lines {offenders}"
+
+
+def test_incremental_trace_never_imports_dataclasses_replace():
+    path = Path(repro.ingest.incremental.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offenders = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            offenders += [
+                f"{node.lineno}: from dataclasses import replace"
+                for alias in node.names
+                if alias.name == "replace"
+            ]
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "dataclasses"
+            and node.attr == "replace"
+        ):
+            offenders.append(f"{node.lineno}: dataclasses.replace")
+        if isinstance(node, ast.Name) and node.id == "dc_replace":
+            offenders.append(f"{node.lineno}: dc_replace")
+    assert not offenders, offenders

@@ -13,6 +13,7 @@ that loses all server state.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -53,10 +54,28 @@ def run_sender(address, records, faults=None, seed=5):
         address, sorted({r.stream for r in records}),
         SenderConfig(**cfg), faults=faults,
     )
-    sender.push_all(records)
-    sender.finish()
-    sender.close()
+    # A killed sender's socket closes on the way out, as a dead process's
+    # would (otherwise the traceback keeps it open).
+    with sender:
+        sender.push_all(records)
+        sender.finish()
     return sender
+
+
+def wait_for_peer_gone(server, timeout_s=10.0):
+    """Block until the server has read a dead sender's connection to EOF.
+
+    Frames the sender wrote before dying may still sit unread in the
+    socket when its successor says HELLO; the WELCOME can only prune the
+    replay by what the server has already processed.
+    """
+    deadline = time.monotonic() + timeout_s
+    while any(
+        info["state"] not in ("never", "disconnected")
+        for info in server.transport_stats().values()
+    ):
+        assert time.monotonic() < deadline, "dead sender's connection never closed"
+        time.sleep(0.001)
 
 
 class TestKillEveryFrameBoundary:
@@ -118,6 +137,7 @@ class TestKillEveryFrameBoundary:
                         server.address, record_set,
                         faults=CrashInjector(plan),
                     )
+                wait_for_peer_gone(server)
             run_sender(server.address, record_set, seed=7)
             assert (
                 drain_all(TelemetryFeed(server.transport(), FeedConfig()))
