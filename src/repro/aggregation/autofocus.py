@@ -13,6 +13,18 @@ adapts for causal-pattern aggregation:
   walking, for each item, the cross product of its per-dimension cluster
   ancestors; compression then works on the specificity-ordered candidate
   list with the same residual rule.
+
+:class:`MultiAutoFocus` runs on int codes, not node objects: pass 1 sums
+weights per shared node code (:data:`~repro.aggregation.hierarchy.
+NODE_CODES`, one hash per leaf instead of one per ancestor), passes 2 and
+3 use dense codes of each dimension's pruned significant nodes, and
+compression applies containment as one mask per reported cluster over the
+later candidates, looked up from a table built with ``contains_node``
+over that dimension's nodes.  Every float is summed in the order the
+object code summed it — combos in item order, each candidate's explained
+weight as one ``sum`` over the containing clusters' residuals in report
+order — so weights and residuals are bit-identical to the object
+reference in ``tests/oracles/autofocus.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +34,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.aggregation.hierarchy import ancestors
+import numpy as np
+
+from repro.aggregation.hierarchy import NODE_CODES, ancestors
 from repro.errors import AggregationError
 
 
@@ -134,8 +148,11 @@ class MultiAutoFocus:
         if threshold <= 0:
             raise AggregationError(f"threshold must be positive, got {threshold}")
 
-        leaves = [(self.to_leaf_nodes(item), weight) for item, weight in items]
-        n_dims = len(leaves[0][0])
+        leaves = [self.to_leaf_nodes(item) for item, _weight in items]
+        weights = [weight for _item, weight in items]
+        dims = [
+            _CodedDimension(leaf[d] for leaf in leaves) for d in range(len(leaves[0]))
+        ]
 
         # Pass 1: unidimensional significant nodes per dimension, with
         # chain pruning: a node whose weight does not exceed its heaviest
@@ -143,42 +160,16 @@ class MultiAutoFocus:
         # the same as the more specific combination, so residual
         # compression would never report it.  Pruning keeps the candidate
         # cross product small.
-        per_dim_significant: List[Dict[object, float]] = []
-        for d in range(n_dims):
-            node_weights: Dict[object, float] = defaultdict(float)
-            for nodes, weight in leaves:
-                for node in ancestors(nodes[d]):
-                    node_weights[node] += weight
-            significant = {
-                node: w for node, w in node_weights.items() if w >= threshold
-            }
-            root = next(n for n in node_weights if n.depth == 0)
-            significant.setdefault(root, node_weights[root])
-            child_max: Dict[object, float] = {}
-            for node, weight in significant.items():
-                parent = node.parent()
-                if parent is not None and parent in significant:
-                    if weight > child_max.get(parent, 0.0):
-                        child_max[parent] = weight
-            pruned = {
-                node: weight
-                for node, weight in significant.items()
-                if node.depth == 0 or weight > child_max.get(node, 0.0)
-            }
-            per_dim_significant.append(pruned)
+        for dim in dims:
+            dim.prune(weights, threshold)
 
         # Pass 2: true weights of candidate combinations, accumulated by
-        # walking each item's significant-ancestor cross product.
-        combo_weights: Dict[Tuple[object, ...], float] = defaultdict(float)
-        for nodes, weight in leaves:
-            options: List[List[object]] = []
-            for d in range(n_dims):
-                chain = [
-                    node
-                    for node in ancestors(nodes[d])
-                    if node in per_dim_significant[d]
-                ]
-                options.append(chain[: self.max_ancestor_fanout])
+        # walking each item's significant-ancestor cross product.  Combos
+        # are tuples of node codes, summed in item order.
+        per_item = zip(*(dim.options(self.max_ancestor_fanout) for dim in dims))
+        combo_weights: Dict[Tuple[int, ...], float] = defaultdict(float)
+        for item_options, weight in zip(per_item, weights):
+            options = list(item_options)
             combos = 1
             for chain in options:
                 combos *= max(1, len(chain))
@@ -194,27 +185,102 @@ class MultiAutoFocus:
             for combo in product(*options):
                 combo_weights[combo] += weight
 
-        candidates = {
-            combo: weight
-            for combo, weight in combo_weights.items()
-            if weight >= threshold
-        }
-
-        # Pass 3: compression by residual, most-specific first.
+        # Pass 3: compression by residual, most-specific first.  When a
+        # cluster is reported, one mask over the later candidates marks
+        # those containing it, and its residual joins their explained
+        # lists in report order — each candidate's explained weight is
+        # the same ``sum`` over the same floats as a scan of the reported
+        # list would take.
+        depths = [dim.depths for dim in dims]
         ordered = sorted(
-            candidates.items(),
-            key=lambda kv: (-sum(n.depth for n in kv[0]), -kv[1]),
+            (
+                (combo, weight)
+                for combo, weight in combo_weights.items()
+                if weight >= threshold
+            ),
+            key=lambda kv: (-sum([dd[c] for dd, c in zip(depths, kv[0])]), -kv[1]),
         )
+        codes = np.array([combo for combo, _weight in ordered], dtype=np.intp)
+        explained: Dict[int, List[float]] = defaultdict(list)
         reported: List[Cluster] = []
-        for combo, weight in ordered:
-            probe = Cluster(nodes=combo, weight=weight, residual=0.0)
-            explained = sum(
-                cluster.residual for cluster in reported if probe.contains(cluster)
-            )
-            residual = weight - explained
-            if residual >= threshold:
-                reported.append(
-                    Cluster(nodes=combo, weight=weight, residual=residual)
+        for i, (combo, weight) in enumerate(ordered):
+            residual = weight - sum(explained.pop(i, ()))
+            if residual < threshold:
+                continue
+            reported.append(
+                Cluster(
+                    nodes=tuple(dim.nodes[c] for dim, c in zip(dims, combo)),
+                    weight=weight,
+                    residual=residual,
                 )
+            )
+            later = codes[i + 1 :]
+            mask = np.ones(len(later), dtype=bool)
+            for d, dim in enumerate(dims):
+                mask &= dim.containers(combo[d])[later[:, d]]
+            for j in np.flatnonzero(mask).tolist():
+                explained[i + 1 + j].append(residual)
         reported.sort(key=lambda c: -c.residual)
         return reported
+
+
+class _CodedDimension:
+    """One dimension of a :class:`MultiAutoFocus` run over node codes.
+
+    Pass 1 works on :data:`~repro.aggregation.hierarchy.NODE_CODES`;
+    the pruned significant nodes are then renumbered densely
+    (``index``), and passes 2 and 3 use those dense codes.
+    """
+
+    def __init__(self, leaves: Iterable[object]) -> None:
+        #: Per item, its leaf's ancestor chain as shared codes.
+        self.chains = [NODE_CODES.chain(leaf) for leaf in leaves]
+        self.index: Dict[int, int] = {}
+        self.nodes: List[object] = []
+        self.depths: List[int] = []
+        self._containers: Dict[int, np.ndarray] = {}
+
+    def prune(self, weights: Sequence[float], threshold: float) -> None:
+        """Pass 1: keep the significant nodes no significant child explains."""
+        node_weights: Dict[int, float] = defaultdict(float)
+        for chain, weight in zip(self.chains, weights):
+            for code in chain:
+                node_weights[code] += weight
+        depths = NODE_CODES.depths
+        significant = {
+            code: weight for code, weight in node_weights.items() if weight >= threshold
+        }
+        root = next(code for code in node_weights if depths[code] == 0)
+        significant.setdefault(root, node_weights[root])
+        child_max: Dict[int, float] = {}
+        for code, weight in significant.items():
+            parent = NODE_CODES.parents[code]
+            if parent in significant and weight > child_max.get(parent, 0.0):
+                child_max[parent] = weight
+        for code, weight in significant.items():
+            if depths[code] == 0 or weight > child_max.get(code, 0.0):
+                self.index[code] = len(self.nodes)
+                self.nodes.append(NODE_CODES.nodes[code])
+                self.depths.append(depths[code])
+
+    def options(self, fanout: int) -> List[List[int]]:
+        """Per item, the dense codes of its pruned ancestors, most specific
+        first, capped at ``fanout``."""
+        index = self.index
+        memo: Dict[Tuple[int, ...], List[int]] = {}
+        options = []
+        for chain in self.chains:
+            kept = memo.get(chain)
+            if kept is None:
+                kept = memo[chain] = [index[c] for c in chain if c in index][:fanout]
+            options.append(kept)
+        return options
+
+    def containers(self, code: int) -> np.ndarray:
+        """Mask over dense codes: the pruned nodes containing node ``code``."""
+        mask = self._containers.get(code)
+        if mask is None:
+            node = self.nodes[code]
+            mask = np.array([other.contains_node(node) for other in self.nodes])
+            self._containers[code] = mask
+        return mask

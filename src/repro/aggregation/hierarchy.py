@@ -290,3 +290,41 @@ def ancestors(node) -> Tuple[object, ...]:
     result = tuple(chain)
     _ANCESTOR_CACHE[node] = result
     return result
+
+
+class NodeCodes:
+    """Process-wide int codes for hierarchy nodes, one per distinct node.
+
+    ``chain(leaf)`` is :func:`ancestors` as codes, memoised the same way;
+    ``nodes``, ``depths`` and ``parents`` (``-1`` for a root) are indexed
+    by code.  Aggregation then hashes each leaf once per item instead of
+    every ancestor, and works on int-keyed tables.
+    """
+
+    def __init__(self) -> None:
+        self.nodes: List[object] = []
+        self.depths: List[int] = []
+        self.parents: List[int] = []
+        self._code_of: dict = {}
+        self._chains: dict = {}
+
+    def chain(self, leaf) -> Tuple[int, ...]:
+        cached = self._chains.get(leaf)
+        if cached is not None:
+            return cached
+        codes: List[int] = []
+        for node in reversed(ancestors(leaf)):
+            code = self._code_of.get(node)
+            if code is None:
+                code = self._code_of[node] = len(self.nodes)
+                self.nodes.append(node)
+                self.depths.append(node.depth)
+                self.parents.append(codes[-1] if codes else -1)
+            codes.append(code)
+        result = tuple(reversed(codes))
+        self._chains[leaf] = result
+        return result
+
+
+#: The codes every aggregation run shares.
+NODE_CODES = NodeCodes()

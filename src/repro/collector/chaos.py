@@ -32,12 +32,13 @@ degradation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.collector.runtime import (
     BatchRecord,
     CollectedData,
+    ExitRecord,
     NFRecords,
     SourceRecord,
 )
@@ -60,8 +61,9 @@ class ChaosConfig:
     ``t`` is stamped ``t + t * ppm / 1e6``.  ``clock_schedules`` warps
     named NFs' batch timestamps through an arbitrary
     :class:`~repro.time.chaos.ClockSchedule` (NTP step, freeze, ramp) —
-    applied after ``drift_ppm``, so both can compose.  ``seed`` fixes
-    every draw.
+    applied after ``drift_ppm``, so both can compose.  An exit NF's exit
+    records share its clock faults: they are stamped from the same clock
+    read as the TX batch they leave in.  ``seed`` fixes every draw.
     """
 
     drop_rate: float = 0.0
@@ -231,6 +233,22 @@ def _chaos_batches(
     return out
 
 
+def _exit_on_nf_clock(record: ExitRecord, config: ChaosConfig) -> ExitRecord:
+    """``record`` restamped by its exit NF's faulty clock (drift, then
+    schedule — the order ``_chaos_batches`` applies them to the NF's TX
+    batches)."""
+    time_ns = record.time_ns
+    ppm = config.drift_ppm.get(record.last_nf, 0.0)
+    if ppm:
+        time_ns += int(time_ns * ppm / 1e6)
+    schedule = config.clock_schedules.get(record.last_nf)
+    if schedule is not None:
+        time_ns = schedule.warp(time_ns)
+    if time_ns == record.time_ns:
+        return record
+    return replace(record, time_ns=time_ns)
+
+
 def inject_chaos(data: CollectedData, config: ChaosConfig) -> ChaosResult:
     """Return a corrupted copy of ``data`` plus the injection report.
 
@@ -267,6 +285,10 @@ def inject_chaos(data: CollectedData, config: ChaosConfig) -> ChaosResult:
         keep = rng.random(len(data.exits)) >= config.drop_rate
         corrupted.exits = [r for r, k in zip(data.exits, keep) if k]
         report.exit_records_dropped += len(data.exits) - len(corrupted.exits)
+    if config.drift_ppm or config.clock_schedules:
+        corrupted.exits = [
+            _exit_on_nf_clock(record, config) for record in corrupted.exits
+        ]
     return ChaosResult(data=corrupted, report=report)
 
 

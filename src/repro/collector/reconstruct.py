@@ -24,7 +24,20 @@ Reconstruction proceeds per NF in two matchings:
   itself consumed the packet, e.g. a firewall drop rule).
 
 Chaining the matchings backwards from the exit records (which carry
-five-tuples) yields full per-packet hop timelines.
+five-tuples) yields full per-packet hop timelines.  Each exit record is
+aligned with the item of its NF's exit stream that has the record's
+``(time, ipid)`` — both are written from the same TX batch — so a lost
+exit record or exit item breaks exactly one chain (a ``chain-break`` gap
+in tolerant mode) instead of shifting every later packet at that NF onto
+its neighbour's flow and exit time.
+
+Streams are parallel ``times`` / ``ipids`` int lists.  The matcher finds
+each merged item's per-stream candidate by bisection over an ``ipid ->
+positions`` index of the stream, so the cost per merged item grows with
+``log n`` rather than with the ``max_skip`` items a scan would walk; a
+stream whose times decrease (strict mode over disordered input) keeps the
+scan.  ``tests/oracles/reconstruct.py`` holds the scan matcher the index
+must agree with.
 
 **Tolerant mode** (``tolerant=True``) handles degraded telemetry instead
 of letting it poison the matchings: per-NF streams are validated first
@@ -41,11 +54,14 @@ mode (validation finds nothing to repair).
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.collector.health import TelemetryGap, TelemetryHealth
-from repro.collector.runtime import CollectedData, NFRecords
+from repro.collector.runtime import BatchRecord, CollectedData, NFRecords
 from repro.errors import ReconstructionError
 
 #: Default upper bound on (read - arrival): DPDK ring of 1024 packets at a
@@ -53,13 +69,9 @@ from repro.errors import ReconstructionError
 #: records.
 DEFAULT_MAX_WAIT_NS = 50_000_000
 
-
-@dataclass(frozen=True)
-class _Item:
-    """One per-packet record in a stream (arrival, read, or departure)."""
-
-    time_ns: int
-    ipid: int
+#: One per-packet record stream (arrivals, reads, or departures) as
+#: parallel ``(times, ipids)`` lists.
+Stream = Tuple[List[int], List[int]]
 
 
 @dataclass
@@ -111,65 +123,104 @@ class ReconstructionStats:
 class _StreamMatcher:
     """Greedy order-preserving matcher with drop skips and lookahead.
 
-    Matches a merged sequence against K ordered component streams.  For each
-    merged item, the candidate set is, per stream, the first not-yet-matched
-    item with the same ipid inside the time window (items skipped over are
-    treated as losses).  Ties between streams are broken by (fewest skips,
-    earliest time); remaining ties use bounded lookahead over the next
-    merged items.
+    Matches a merged sequence against K ordered component streams, each a
+    pair of parallel ``(times, ipids)`` lists.  For each merged item at
+    time ``t``, stream ``s``'s candidate is :meth:`_candidates`' rule: the
+    first index ``j`` in ``[p, p + max_skip]`` (``p`` the stream's pointer)
+    whose ipid matches and whose time lies in ``[t + lo, t + hi]``, with no
+    "too new" item (time ``> t + hi``) before it; items skipped over are
+    treated as losses, ``skips = j - p``.  Ties between streams are broken
+    by (fewest skips, earliest time); remaining ties use bounded lookahead
+    over the next merged items.  The window must contain its merged item
+    (``lo <= 0 <= hi``).
+
+    A stream whose times never decrease answers the rule with bisection
+    over a per-stream ``ipid -> ascending positions`` index built once;
+    one whose times decrease somewhere (strict mode over disordered input
+    only) keeps the bounded scan.
     """
 
     def __init__(
         self,
-        merged: Sequence[Tuple[int, int]],
-        streams: Dict[str, List[_Item]],
-        window_ok,
+        merged: Stream,
+        streams: Dict[str, Stream],
+        lo: int,
+        hi: int,
         lookahead: int = 4,
         max_skip: int = 64,
     ) -> None:
-        self.merged = merged
-        self.streams = streams
-        self.window_ok = window_ok
+        self.merged_times, self.merged_ipids = merged
+        self.lo = lo
+        self.hi = hi
         self.lookahead = lookahead
         self.max_skip = max_skip
         self.pointers: Dict[str, int] = {key: 0 for key in streams}
-        self.assignment: List[Optional[Tuple[str, int]]] = [None] * len(merged)
+        self.assignment: List[Optional[Tuple[str, int]]] = [None] * len(
+            self.merged_times
+        )
         self.stats_ambiguous = 0
         self.stats_unmatched = 0
+        #: (key, times, ipids, length, ipid -> positions or None for the
+        #: scan).
+        self._lanes: List[Tuple[str, List[int], List[int], int, Optional[dict]]] = []
+        for key, (times, ipids) in streams.items():
+            index = None
+            if all(a <= b for a, b in zip(times, islice(times, 1, None))):
+                index = defaultdict(list)
+                for position, ipid in enumerate(ipids):
+                    index[ipid].append(position)
+            self._lanes.append((key, times, ipids, len(times), index))
 
     def _candidates(
         self, merged_time: int, ipid: int, pointers: Dict[str, int]
     ) -> List[Tuple[int, int, str, int]]:
         """Return (skips, time, stream, index) candidates, best first."""
         found: List[Tuple[int, int, str, int]] = []
-        for key, stream in self.streams.items():
-            idx = pointers[key]
-            skips = 0
-            while idx < len(stream) and skips <= self.max_skip:
-                item = stream[idx]
-                if not self.window_ok(item.time_ns, merged_time):
-                    if item.time_ns > merged_time:
+        low = merged_time + self.lo
+        high = merged_time + self.hi
+        span = self.max_skip + 1
+        for key, times, ipids, length, index in self._lanes:
+            start = pointers[key]
+            end = start + span
+            if end > length:
+                end = length
+            if index is None:
+                idx = start
+                while idx < end:
+                    time_ns = times[idx]
+                    if time_ns > high:
                         break  # this and later items are too new
-                    # Item too old to ever match a later merged item? It can
-                    # still match later merged items (window grows), so only
-                    # skip it for this merged item.
+                    if time_ns >= low and ipids[idx] == ipid:
+                        found.append((idx - start, time_ns, key, idx))
+                        break
                     idx += 1
-                    skips += 1
-                    continue
-                if item.ipid == ipid:
-                    found.append((skips, item.time_ns, key, idx))
-                    break
-                idx += 1
-                skips += 1
+                continue
+            positions = index.get(ipid)
+            if positions is None:
+                continue
+            k = bisect_left(positions, start)
+            if k < len(positions) and times[positions[k]] < low:
+                # Jump past the too-old prefix of the window (times ascend).
+                k = bisect_left(positions, bisect_left(times, low, start, end), k)
+            if k == len(positions):
+                continue
+            idx = positions[k]
+            if idx >= end:
+                continue
+            time_ns = times[idx]
+            if time_ns > high:
+                continue  # an item at or before idx is too new
+            found.append((idx - start, time_ns, key, idx))
         found.sort()
         return found
 
     def _try_match(self, start: int, pointers: Dict[str, int], depth: int) -> bool:
         """Can merged[start:start+depth] be matched from ``pointers``?"""
-        if depth == 0 or start >= len(self.merged):
+        if depth == 0 or start >= len(self.merged_times):
             return True
-        merged_time, ipid = self.merged[start]
-        candidates = self._candidates(merged_time, ipid, pointers)
+        candidates = self._candidates(
+            self.merged_times[start], self.merged_ipids[start], pointers
+        )
         for _skips, _time, key, idx in candidates:
             trial = dict(pointers)
             trial[key] = idx + 1
@@ -178,7 +229,8 @@ class _StreamMatcher:
         return not candidates  # no candidate: treat as unmatchable, accept
 
     def run(self) -> List[Optional[Tuple[str, int]]]:
-        for i, (merged_time, ipid) in enumerate(self.merged):
+        merged = zip(self.merged_times, self.merged_ipids)
+        for i, (merged_time, ipid) in enumerate(merged):
             candidates = self._candidates(merged_time, ipid, self.pointers)
             if not candidates:
                 self.stats_unmatched += 1
@@ -239,87 +291,82 @@ class TraceReconstructor:
         self._queue_match: Dict[str, List[Optional[Tuple[str, int]]]] = {}
         self._demux_match: Dict[str, List[Optional[Tuple[str, int]]]] = {}
         self._tx_back: Dict[str, Dict[str, Dict[int, int]]] = {}
-        self._rx_items: Dict[str, List[_Item]] = {}
-        self._writer_items: Dict[str, Dict[str, List[_Item]]] = {}
-        self._tx_items: Dict[str, Dict[str, List[_Item]]] = {}
+        self._rx_items: Dict[str, Stream] = {}
+        self._writer_items: Dict[str, Dict[str, Stream]] = {}
+        self._tx_items: Dict[str, Dict[str, Stream]] = {}
 
     # -- stream assembly -----------------------------------------------------
 
-    def _rx_stream(self, nf: str) -> List[_Item]:
-        items: List[_Item] = []
-        records = self.data.nfs.get(nf)
-        if records is None:
-            return items
-        for batch in records.rx:
-            for ipid in batch.ipids:
-                items.append(_Item(time_ns=batch.time_ns, ipid=ipid))
-        return items
+    @staticmethod
+    def _batch_stream(batches: Sequence[BatchRecord], delay: int = 0) -> Stream:
+        times: List[int] = []
+        ipids: List[int] = []
+        for batch in batches:
+            times.extend([batch.time_ns + delay] * len(batch.ipids))
+            ipids.extend(batch.ipids)
+        return times, ipids
 
-    def _writer_streams(self, nf: str) -> Dict[str, List[_Item]]:
-        streams: Dict[str, List[_Item]] = {}
+    def _rx_stream(self, nf: str) -> Stream:
+        records = self.data.nfs.get(nf)
+        return self._batch_stream(records.rx if records is not None else [])
+
+    def _writer_streams(self, nf: str) -> Dict[str, Stream]:
+        streams: Dict[str, Stream] = {}
         for writer in self._writers.get(nf, []):
             delay = self._edge_delay[(writer, nf)]
             if writer in self.data.sources:
-                streams[writer] = [
-                    _Item(time_ns=rec.time_ns + delay, ipid=rec.ipid)
-                    for rec in self.data.sources[writer]
-                    if rec.target == nf
-                ]
+                sent = [rec for rec in self.data.sources[writer] if rec.target == nf]
+                streams[writer] = (
+                    [rec.time_ns + delay for rec in sent],
+                    [rec.ipid for rec in sent],
+                )
             else:
                 records = self.data.nfs.get(writer)
                 batches = records.tx_to(nf) if records else []
-                streams[writer] = [
-                    _Item(time_ns=batch.time_ns + delay, ipid=ipid)
-                    for batch in batches
-                    for ipid in batch.ipids
-                ]
+                streams[writer] = self._batch_stream(batches, delay)
         return streams
 
-    def _tx_streams(self, nf: str) -> Dict[str, List[_Item]]:
+    def _tx_streams(self, nf: str) -> Dict[str, Stream]:
         records = self.data.nfs.get(nf)
         if records is None:
             return {}
         return {
-            next_node: [
-                _Item(time_ns=batch.time_ns, ipid=ipid)
-                for batch in batches
-                for ipid in batch.ipids
-            ]
+            next_node: self._batch_stream(batches)
             for next_node, batches in records.tx.items()
         }
 
     # -- matching --------------------------------------------------------------
 
     def _match_queue(self, nf: str) -> None:
-        rx = self._rx_items[nf]
         writers = self._writer_items[nf]
-        merged = [(item.time_ns, item.ipid) for item in rx]
-
-        def window_ok(arrival_ns: int, read_ns: int) -> bool:
-            return arrival_ns <= read_ns and read_ns - arrival_ns <= self.max_wait_ns
-
+        # A packet is read after it arrived, within the queueing bound.
         matcher = _StreamMatcher(
-            merged, writers, window_ok, lookahead=self.lookahead
+            self._rx_items[nf],
+            writers,
+            -self.max_wait_ns,
+            0,
+            lookahead=self.lookahead,
         )
         self._queue_match[nf] = matcher.run()
         self.stats.ambiguous_resolved += matcher.stats_ambiguous
         self.stats.unmatched_rx += matcher.stats_unmatched
         matched_writer_items = sum(1 for a in self._queue_match[nf] if a is not None)
-        total_writer_items = sum(len(s) for s in writers.values())
+        total_writer_items = sum(len(times) for times, _ipids in writers.values())
         self.stats.inferred_drops += max(0, total_writer_items - matched_writer_items)
         self.stats.matched += matched_writer_items
         self._nf_matched[nf] = matched_writer_items
         self._nf_expected[nf] = total_writer_items
 
     def _match_demux(self, nf: str) -> None:
-        rx = self._rx_items[nf]
         tx_streams = self._tx_items[nf]
-        merged = [(item.time_ns, item.ipid) for item in rx]
-
-        def window_ok(tx_ns: int, read_ns: int) -> bool:
-            return tx_ns >= read_ns and tx_ns - read_ns <= self.max_wait_ns
-
-        matcher = _StreamMatcher(merged, tx_streams, window_ok, lookahead=self.lookahead)
+        # A packet is written after it was read, within the same bound.
+        matcher = _StreamMatcher(
+            self._rx_items[nf],
+            tx_streams,
+            0,
+            self.max_wait_ns,
+            lookahead=self.lookahead,
+        )
         assignment = matcher.run()
         self._demux_match[nf] = assignment
         back: Dict[str, Dict[int, int]] = {key: {} for key in tx_streams}
@@ -420,9 +467,9 @@ class TraceReconstructor:
             dropped = total - matched
             if dropped > 0:
                 times = [
-                    item.time_ns
-                    for stream in self._writer_items[nf].values()
-                    for item in stream
+                    time_ns
+                    for stream_times, _ipids in self._writer_items[nf].values()
+                    for time_ns in stream_times
                 ]
                 if times:
                     self.health.gaps.append(
@@ -463,9 +510,28 @@ class TraceReconstructor:
 
         packets: List[ReconstructedPacket] = []
         exit_cursor: Dict[str, int] = {}
+        exit_positions = {nf: self._exit_positions(nf) for nf in self._tx_items}
         for record in self.data.exits:
             nf = record.last_nf
-            tx_index = exit_cursor.get(nf, 0)
+            cursor = exit_cursor.get(nf, 0)
+            # An exit record and its exit-stream item are written from the
+            # same TX batch: align on (time, ipid), never on position, so a
+            # lost record or item breaks chains instead of shifting every
+            # later packet onto its neighbour's flow.
+            positions = exit_positions.get(nf, {}).get(
+                (record.time_ns, record.ipid), ()
+            )
+            k = bisect_left(positions, cursor)
+            if k == len(positions):
+                self.stats.chains_broken += 1
+                self._note_break(nf, record.time_ns)
+                continue
+            tx_index = positions[k]
+            exit_times = self._tx_items[nf][""][0]
+            for skipped in range(cursor, tx_index):
+                # An exit item whose record was lost: its chain is broken.
+                self.stats.chains_broken += 1
+                self._note_break(nf, exit_times[skipped])
             exit_cursor[nf] = tx_index + 1
             packet = self._chain_back(nf, tx_index, record.flow, record.time_ns)
             if packet is not None:
@@ -475,6 +541,14 @@ class TraceReconstructor:
                 self.stats.chains_broken += 1
         self._record_health(packets)
         return packets
+
+    def _exit_positions(self, nf: str) -> Dict[Tuple[int, int], List[int]]:
+        """``(time, ipid) -> ascending positions`` of ``nf``'s exit stream."""
+        positions: Dict[Tuple[int, int], List[int]] = defaultdict(list)
+        times, ipids = self._tx_items[nf].get("", ([], []))
+        for position, key in enumerate(zip(times, ipids)):
+            positions[key].append(position)
+        return positions
 
     def _chain_back(
         self, last_nf: str, exit_tx_index: int, flow: object, exit_ns: int
@@ -490,18 +564,20 @@ class TraceReconstructor:
             if rx_index is None:
                 self._note_break(nf, exit_ns)
                 return None
-            rx_item = self._rx_items[nf][rx_index]
             queue_match = self._queue_match[nf][rx_index]
             if queue_match is None:
                 self._note_break(nf, exit_ns)
                 return None
             writer, writer_index = queue_match
-            arrival = self._writer_items[nf][writer][writer_index].time_ns
-            tx_stream = self._tx_items[nf].get(tx_stream_key, [])
-            depart = tx_stream[tx_index].time_ns if tx_index < len(tx_stream) else -1
+            arrival = self._writer_items[nf][writer][0][writer_index]
+            tx_times = self._tx_items[nf].get(tx_stream_key, ([], []))[0]
+            depart = tx_times[tx_index] if tx_index < len(tx_times) else -1
             hops_reversed.append(
                 ReconstructedHop(
-                    nf=nf, arrival_ns=arrival, read_ns=rx_item.time_ns, depart_ns=depart
+                    nf=nf,
+                    arrival_ns=arrival,
+                    read_ns=self._rx_items[nf][0][rx_index],
+                    depart_ns=depart,
                 )
             )
             if writer in self.data.sources:

@@ -24,6 +24,7 @@ from repro.nfv import (
 )
 from repro.traffic import IpidSpace, PidAllocator
 from repro.traffic.caida import CaidaLikeTraffic
+from repro.time.chaos import ClockSchedule
 from repro.util.rng import generator
 from repro.util.timebase import MSEC
 
@@ -189,3 +190,105 @@ class TestDegradedInput:
         packets = reconstructor.reconstruct()
         assert isinstance(packets, list)
         assert reconstructor.health.completeness
+
+
+def with_records(collected, exits=None, nfs=None):
+    return type(collected)(
+        nfs=collected.nfs if nfs is None else nfs,
+        sources=collected.sources,
+        exits=collected.exits if exits is None else exits,
+        max_batch=collected.max_batch,
+    )
+
+
+def journeys(packets):
+    return [(packet.flow,) + packet_key(packet) for packet in packets]
+
+
+class TestExitAlignment:
+    """Exit records align with the exit stream on (time, ipid): a lost
+    record or exit item breaks exactly one chain, visibly."""
+
+    LOST = 10
+
+    @pytest.fixture(scope="class")
+    def clean(self, collected):
+        reconstructor = TraceReconstructor(collected, EDGES, tolerant=True)
+        packets = reconstructor.reconstruct()
+        assert reconstructor.stats.chains_broken == 0
+        assert len(packets) == len(collected.exits)
+        return packets
+
+    @pytest.mark.parametrize("tolerant", [False, True])
+    def test_lost_exit_record_breaks_only_its_own_chain(
+        self, collected, clean, tolerant
+    ):
+        lost = collected.exits[self.LOST]
+        exits = collected.exits[: self.LOST] + collected.exits[self.LOST + 1 :]
+        reconstructor = TraceReconstructor(
+            with_records(collected, exits=exits), EDGES, tolerant=tolerant
+        )
+        packets = reconstructor.reconstruct()
+        assert journeys(packets) == journeys(
+            clean[: self.LOST] + clean[self.LOST + 1 :]
+        )
+        assert reconstructor.stats.chains_broken == 1
+        if tolerant:
+            health = reconstructor.health
+            assert health.degraded
+            assert [
+                (g.nf, g.start_ns, g.end_ns, g.count)
+                for g in health.gaps
+                if g.kind == "chain-break"
+            ] == [(lost.last_nf, lost.time_ns, lost.time_ns, 1)]
+
+    def test_lost_exit_item_breaks_only_its_record(self, collected, clean):
+        lost = collected.exits[self.LOST]
+        vpn = collected.nfs["vpn1"]
+        exit_batches = list(vpn.tx[""])
+        for b, batch in enumerate(exit_batches):
+            if batch.time_ns == lost.time_ns and lost.ipid in batch.ipids:
+                ipids = list(batch.ipids)
+                ipids.remove(lost.ipid)
+                exit_batches[b] = BatchRecord(time_ns=batch.time_ns, ipids=tuple(ipids))
+                break
+        damaged = with_records(
+            collected,
+            nfs={**collected.nfs, "vpn1": NFRecords(rx=vpn.rx, tx={"": exit_batches})},
+        )
+        reconstructor = TraceReconstructor(damaged, EDGES, tolerant=True)
+        packets = reconstructor.reconstruct()
+        assert journeys(packets) == journeys(
+            clean[: self.LOST] + clean[self.LOST + 1 :]
+        )
+        assert reconstructor.stats.chains_broken == 1
+        assert any(
+            g.kind == "chain-break" and g.nf == "vpn1"
+            for g in reconstructor.health.gaps
+        )
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ChaosConfig(drift_ppm={"vpn1": 200.0}),
+            ChaosConfig(
+                clock_schedules={
+                    "vpn1": ClockSchedule(kind="step", start_ns=0, step_ns=1_500)
+                }
+            ),
+        ],
+        ids=["drift", "step"],
+    )
+    def test_exit_nf_clock_fault_moves_exit_records_too(self, collected, config):
+        """The exit NF's collector stamps exit records and exit batches from
+        one clock read, so a clock fault there keeps them aligned."""
+        chaotic = inject_chaos(collected, config).data
+        vpn_exit = [b.time_ns for b in chaotic.nfs["vpn1"].tx[""]]
+        assert {r.time_ns for r in chaotic.exits} <= set(vpn_exit)
+        assert {r.time_ns for r in chaotic.exits}.isdisjoint(
+            r.time_ns for r in collected.exits
+        )
+        reconstructor = TraceReconstructor(chaotic, EDGES)
+        reconstructor.reconstruct()
+        assert reconstructor.stats.chains_broken == 0
+        assert reconstructor.stats.chains_built == len(collected.exits)

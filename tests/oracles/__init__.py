@@ -1,7 +1,8 @@
 """Reference implementations the production paths are tested against.
 
 ``repro.core`` has one diagnosis path: numpy index, columnar trace; a
-trace is stored as columns only; the live merge has one clocked drain.
+trace is stored as columns only; the live merge has one clocked drain;
+reconstruction matches through an index and AutoFocus runs on int codes.
 The straightforward code the production paths were optimised from lives
 here, moved without algorithmic edits, so tests can assert equality
 against it:
@@ -18,6 +19,12 @@ against it:
   ``NFView``, ``from_sim_result`` / ``from_reconstruction``, live
   ``_apply_event`` / ``prune_before`` / snapshot restore into objects) and
   ``TraceColumns.from_trace``, the flatten the columns must equal.
+* :mod:`tests.oracles.reconstruct` — the scan candidate lookup of the
+  reconstruction matcher (``ScanStreamMatcher``; ``matching_through``
+  swaps it into ``TraceReconstructor``),
+* :mod:`tests.oracles.autofocus` — the node-object passes of
+  ``MultiAutoFocus.run`` (``OracleMultiAutoFocus``;
+  ``aggregating_through`` swaps it into ``PatternAggregator``).
 
 Nothing under ``src/`` imports this package.
 """

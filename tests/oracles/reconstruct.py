@@ -1,0 +1,170 @@
+"""Scan matcher: the reference for ``collector.reconstruct._StreamMatcher``.
+
+What the reconstruction matcher was before streams became parallel
+``times`` / ``ipids`` lists with a per-stream ``ipid -> positions`` index:
+every merged item walks up to ``max_skip + 1`` items of every component
+stream, testing a window predicate on each.  Moved here unedited
+(:class:`ScanStreamMatcher`, with its ``_Item``); :class:`OracleStreamMatcher`
+puts it behind the production constructor, and :func:`matching_through`
+makes every ``TraceReconstructor`` inside the block match with it.  The
+production matcher must return the same ``assignment``,
+``stats_ambiguous`` and ``stats_unmatched`` for every input
+(``tests/collector/test_matcher_parity.py``).
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from unittest import mock
+
+from repro.collector import reconstruct as reconstruct_mod
+
+
+@dataclass(frozen=True)
+class _Item:
+    """One per-packet record in a stream (arrival, read, or departure)."""
+
+    time_ns: int
+    ipid: int
+
+
+class ScanStreamMatcher:
+    """Greedy order-preserving matcher with drop skips and lookahead.
+
+    Matches a merged sequence against K ordered component streams.  For each
+    merged item, the candidate set is, per stream, the first not-yet-matched
+    item with the same ipid inside the time window (items skipped over are
+    treated as losses).  Ties between streams are broken by (fewest skips,
+    earliest time); remaining ties use bounded lookahead over the next
+    merged items.
+    """
+
+    def __init__(
+        self,
+        merged: Sequence[Tuple[int, int]],
+        streams: Dict[str, List[_Item]],
+        window_ok,
+        lookahead: int = 4,
+        max_skip: int = 64,
+    ) -> None:
+        self.merged = merged
+        self.streams = streams
+        self.window_ok = window_ok
+        self.lookahead = lookahead
+        self.max_skip = max_skip
+        self.pointers: Dict[str, int] = {key: 0 for key in streams}
+        self.assignment: List[Optional[Tuple[str, int]]] = [None] * len(merged)
+        self.stats_ambiguous = 0
+        self.stats_unmatched = 0
+
+    def _candidates(
+        self, merged_time: int, ipid: int, pointers: Dict[str, int]
+    ) -> List[Tuple[int, int, str, int]]:
+        """Return (skips, time, stream, index) candidates, best first."""
+        found: List[Tuple[int, int, str, int]] = []
+        for key, stream in self.streams.items():
+            idx = pointers[key]
+            skips = 0
+            while idx < len(stream) and skips <= self.max_skip:
+                item = stream[idx]
+                if not self.window_ok(item.time_ns, merged_time):
+                    if item.time_ns > merged_time:
+                        break  # this and later items are too new
+                    # Item too old to ever match a later merged item? It can
+                    # still match later merged items (window grows), so only
+                    # skip it for this merged item.
+                    idx += 1
+                    skips += 1
+                    continue
+                if item.ipid == ipid:
+                    found.append((skips, item.time_ns, key, idx))
+                    break
+                idx += 1
+                skips += 1
+        found.sort()
+        return found
+
+    def _try_match(self, start: int, pointers: Dict[str, int], depth: int) -> bool:
+        """Can merged[start:start+depth] be matched from ``pointers``?"""
+        if depth == 0 or start >= len(self.merged):
+            return True
+        merged_time, ipid = self.merged[start]
+        candidates = self._candidates(merged_time, ipid, pointers)
+        for _skips, _time, key, idx in candidates:
+            trial = dict(pointers)
+            trial[key] = idx + 1
+            if self._try_match(start + 1, trial, depth - 1):
+                return True
+        return not candidates  # no candidate: treat as unmatchable, accept
+
+    def run(self) -> List[Optional[Tuple[str, int]]]:
+        for i, (merged_time, ipid) in enumerate(self.merged):
+            candidates = self._candidates(merged_time, ipid, self.pointers)
+            if not candidates:
+                self.stats_unmatched += 1
+                continue
+            best = candidates[0]
+            top = [c for c in candidates if c[0] == best[0] and c[1] == best[1]]
+            if len(top) > 1:
+                # Order-based disambiguation (Figure 9): pick the candidate
+                # that lets the following merged items still match.
+                self.stats_ambiguous += 1
+                chosen = None
+                for candidate in top:
+                    trial = dict(self.pointers)
+                    trial[candidate[2]] = candidate[3] + 1
+                    if self._try_match(i + 1, trial, self.lookahead):
+                        chosen = candidate
+                        break
+                best = chosen if chosen is not None else top[0]
+            _skips, _time, key, idx = best
+            self.assignment[i] = (key, idx)
+            self.pointers[key] = idx + 1
+        return self.assignment
+
+
+class OracleStreamMatcher(ScanStreamMatcher):
+    """The scan matcher behind the production constructor: ``merged`` and
+    each stream are ``(times, ipids)`` list pairs, the window is the offset
+    range ``[lo, hi]`` around the merged item's time.
+
+    The scan's "too new" test is ``time > merged_time``, the production
+    one ``time > merged_time + hi``; they agree for the two windows the
+    reconstructor uses (``[-max_wait, 0]`` and ``[0, max_wait]``, i.e.
+    ``lo <= 0 <= hi``)."""
+
+    def __init__(
+        self,
+        merged: Tuple[Sequence[int], Sequence[int]],
+        streams: Dict[str, Tuple[Sequence[int], Sequence[int]]],
+        lo: int,
+        hi: int,
+        lookahead: int = 4,
+        max_skip: int = 64,
+    ) -> None:
+        assert lo <= 0 <= hi, (lo, hi)
+
+        def window_ok(item_ns: int, merged_ns: int) -> bool:
+            return lo <= item_ns - merged_ns <= hi
+
+        times, ipids = merged
+        super().__init__(
+            list(zip(times, ipids)),
+            {
+                key: [_Item(time_ns=t, ipid=i) for t, i in zip(*stream)]
+                for key, stream in streams.items()
+            },
+            window_ok,
+            lookahead=lookahead,
+            max_skip=max_skip,
+        )
+
+
+@contextmanager
+def matching_through(matcher_class=OracleStreamMatcher) -> Iterator[None]:
+    """Inside the block every ``TraceReconstructor`` matches its queues and
+    demuxes with ``matcher_class``."""
+    with mock.patch.object(reconstruct_mod, "_StreamMatcher", matcher_class):
+        yield
