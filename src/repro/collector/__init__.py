@@ -18,6 +18,7 @@ from repro.collector.clock import (
 )
 from repro.collector.compression import (
     bytes_per_packet,
+    decode_batch_stream,
     decode_batches,
     decode_exit_records,
     decode_nf_records,
@@ -44,6 +45,7 @@ from repro.collector.reconstruct import (
 )
 from repro.collector.runtime import (
     BatchRecord,
+    BatchStream,
     CollectedData,
     ExitRecord,
     NFRecords,
@@ -54,6 +56,7 @@ from repro.collector.storage import DumperStats, SharedMemoryRing, drain_batches
 
 __all__ = [
     "BatchRecord",
+    "BatchStream",
     "ChaosConfig",
     "ChaosReport",
     "ChaosResult",
@@ -85,6 +88,7 @@ __all__ = [
     "TraceReconstructor",
     "apply_collection_cost",
     "bytes_per_packet",
+    "decode_batch_stream",
     "decode_batches",
     "decode_exit_records",
     "decode_nf_records",

@@ -16,17 +16,23 @@ stream file; ``load_collected`` verifies each stream before decoding and a
 corrupted or truncated file raises :class:`~repro.errors.TraceError`
 *naming the file* instead of decoding garbage into the diagnosis.  Version
 1 directories (no CRCs) still load.
+
+Loading decodes each batch stream once, straight into a
+:class:`~repro.collector.runtime.BatchStream` (columns, no record per
+batch), and builds one :class:`~repro.nfv.packet.FiveTuple` per distinct
+flow, shared by the source logs and the exit records.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
+from functools import partial
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.collector.compression import (
-    decode_batches,
+    decode_batch_stream,
     decode_exit_records,
     encode_batches,
     encode_exit_records,
@@ -156,23 +162,35 @@ def load_collected(directory: Union[str, Path]) -> CollectedData:
 
     for name, entry in manifest["nfs"].items():
         records = NFRecords()
-        records.rx = decode_stream(entry["rx"], decode_batches)
+        records.rx = decode_stream(entry["rx"], decode_batch_stream)
         for peer, filename in entry["tx"].items():
-            records.tx[peer] = decode_stream(filename, decode_batches)
+            records.tx[peer] = decode_stream(filename, decode_batch_stream)
         data.nfs[name] = records
+    # One FiveTuple per distinct flow (its range check runs once per key).
+    flows: Dict[Tuple[int, ...], FiveTuple] = {}
     for name, filename in manifest["sources"].items():
         payload = _read_stream(directory, filename, crcs)
+        try:
+            text = payload.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TraceError(
+                f"corrupt source records {directory / filename}: {exc}"
+            ) from exc
         records = []
-        for lineno, line in enumerate(payload.decode("utf-8").splitlines(), 1):
+        for lineno, line in enumerate(text.splitlines(), 1):
             if not line:
                 continue
             try:
                 raw = json.loads(line)
+                key = tuple(raw["flow"])
+                flow = flows.get(key)
+                if flow is None:
+                    flow = flows[key] = FiveTuple(*key)
                 records.append(
                     SourceRecord(
                         time_ns=raw["t"],
                         ipid=raw["ipid"],
-                        flow=FiveTuple(*raw["flow"]),
+                        flow=flow,
                         target=raw["target"],
                     )
                 )
@@ -181,5 +199,7 @@ def load_collected(directory: Union[str, Path]) -> CollectedData:
                     f"corrupt source record {directory / filename}:{lineno}: {exc}"
                 ) from exc
         data.sources[name] = records
-    data.exits = decode_stream(manifest["exits"], decode_exit_records)
+    data.exits = decode_stream(
+        manifest["exits"], partial(decode_exit_records, flows=flows)
+    )
     return data

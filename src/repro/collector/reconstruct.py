@@ -31,7 +31,10 @@ exit record or exit item breaks exactly one chain (a ``chain-break`` gap
 in tolerant mode) instead of shifting every later packet at that NF onto
 its neighbour's flow and exit time.
 
-Streams are parallel ``times`` / ``ipids`` int lists.  The matcher finds
+Streams are parallel ``times`` / ``ipids`` int lists; every batch stream,
+decoded or hand-built, reaches them through one path,
+:meth:`BatchStream.packets <repro.collector.runtime.BatchStream.packets>`.
+The matcher finds
 each merged item's per-stream candidate by bisection over an ``ipid ->
 positions`` index of the stream, so the cost per merged item grows with
 ``log n`` rather than with the ``max_skip`` items a scan would walk; a
@@ -61,7 +64,7 @@ from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.collector.health import TelemetryGap, TelemetryHealth
-from repro.collector.runtime import BatchRecord, CollectedData, NFRecords
+from repro.collector.runtime import BatchRecord, BatchStream, CollectedData, NFRecords
 from repro.errors import ReconstructionError
 
 #: Default upper bound on (read - arrival): DPDK ring of 1024 packets at a
@@ -255,6 +258,12 @@ class _StreamMatcher:
         return self.assignment
 
 
+def _time_span(streams: Sequence[BatchStream]) -> Tuple[int, int]:
+    """Earliest and latest batch time over ``streams`` (not all empty)."""
+    times = [stream.times for stream in streams if stream.times]
+    return min(map(min, times)), max(map(max, times))
+
+
 class TraceReconstructor:
     """Rebuilds per-packet journeys from :class:`CollectedData`."""
 
@@ -299,12 +308,7 @@ class TraceReconstructor:
 
     @staticmethod
     def _batch_stream(batches: Sequence[BatchRecord], delay: int = 0) -> Stream:
-        times: List[int] = []
-        ipids: List[int] = []
-        for batch in batches:
-            times.extend([batch.time_ns + delay] * len(batch.ipids))
-            ipids.extend(batch.ipids)
-        return times, ipids
+        return BatchStream.of(batches).packets(delay)
 
     def _rx_stream(self, nf: str) -> Stream:
         records = self.data.nfs.get(nf)
@@ -388,25 +392,23 @@ class TraceReconstructor:
         """
         sane_nfs: Dict[str, NFRecords] = {}
         for name, records in self.data.nfs.items():
-            streams = [records.rx] + list(records.tx.values())
+            rx = BatchStream.of(records.rx)
+            tx = {peer: BatchStream.of(batches) for peer, batches in records.tx.items()}
+            streams = [rx, *tx.values()]
             total = sum(len(s) for s in streams)
             inversions = sum(
-                sum(
-                    1
-                    for i in range(len(s) - 1)
-                    if s[i + 1].time_ns < s[i].time_ns
-                )
+                sum(b < a for a, b in zip(s.times, islice(s.times, 1, None)))
                 for s in streams
             )
             if total and inversions / total > self.max_disorder:
                 self.health.quarantined.add(name)
                 self.health.completeness[name] = 0.0
-                times = [b.time_ns for s in streams for b in s]
+                start_ns, end_ns = _time_span(streams)
                 self.health.gaps.append(
                     TelemetryGap(
                         nf=name,
-                        start_ns=min(times),
-                        end_ns=max(times),
+                        start_ns=start_ns,
+                        end_ns=end_ns,
                         kind="quarantine",
                         count=total,
                     )
@@ -414,18 +416,15 @@ class TraceReconstructor:
                 continue
             if inversions:
                 repaired = NFRecords(
-                    rx=sorted(records.rx, key=lambda b: b.time_ns),
-                    tx={
-                        peer: sorted(batches, key=lambda b: b.time_ns)
-                        for peer, batches in records.tx.items()
-                    },
+                    rx=rx.sorted_by_time(),
+                    tx={peer: stream.sorted_by_time() for peer, stream in tx.items()},
                 )
-                times = [b.time_ns for s in streams for b in s]
+                start_ns, end_ns = _time_span(streams)
                 self.health.gaps.append(
                     TelemetryGap(
                         nf=name,
-                        start_ns=min(times),
-                        end_ns=max(times),
+                        start_ns=start_ns,
+                        end_ns=end_ns,
                         kind="reorder",
                         count=inversions,
                     )

@@ -12,12 +12,19 @@ towards a next hop:
 Five-tuples are recorded only at the *edges* of the NF graph (traffic
 sources and exit NFs); interior NFs carry IPIDs alone, and the
 reconstruction module re-identifies packets across NFs.
+
+The hook appends one :class:`BatchRecord` per burst.  A stream decoded
+from a dump is a :class:`BatchStream` instead: the same batches stored as
+columns (per-batch ``times`` and ``sizes``, one flat ``ipids`` list), which
+reads as a ``Sequence[BatchRecord]`` and hands the reconstructor its
+per-packet ``(times, ipids)`` without building a record per batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import accumulate, chain, islice, repeat
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.nfv.packet import FiveTuple, Packet
 
@@ -32,6 +39,100 @@ class BatchRecord:
     @property
     def size(self) -> int:
         return len(self.ipids)
+
+
+class BatchStream(Sequence[BatchRecord]):
+    """One batch stream stored as columns: per-batch ``times`` and
+    ``sizes`` plus the stream's IPIDs in one flat list.
+
+    Reads as a ``Sequence[BatchRecord]`` (``len``, O(1) indexing,
+    iteration build the records on demand) and compares equal to any
+    sequence of equal records, so a decoded stream stands wherever a list
+    of :class:`BatchRecord` did.  The columns are shared, not copied:
+    treat them as read-only.
+    """
+
+    __slots__ = ("times", "sizes", "ipids", "_starts")
+
+    def __init__(self, times: List[int], sizes: List[int], ipids: List[int]) -> None:
+        self.times = times
+        self.sizes = sizes
+        self.ipids = ipids
+        self._starts: Optional[List[int]] = None
+
+    @classmethod
+    def of(cls, batches: Iterable[BatchRecord]) -> "BatchStream":
+        """``batches`` as columns; a :class:`BatchStream` is returned as is."""
+        if isinstance(batches, BatchStream):
+            return batches
+        times: List[int] = []
+        sizes: List[int] = []
+        ipids: List[int] = []
+        for batch in batches:
+            times.append(batch.time_ns)
+            sizes.append(len(batch.ipids))
+            ipids.extend(batch.ipids)
+        return cls(times, sizes, ipids)
+
+    def packets(self, delay: int = 0) -> Tuple[List[int], List[int]]:
+        """Per-packet ``(times, ipids)``: each IPID at its batch's time plus
+        ``delay``."""
+        times = self.times if not delay else [t + delay for t in self.times]
+        return list(chain.from_iterable(map(repeat, times, self.sizes))), self.ipids
+
+    def sorted_by_time(self) -> "BatchStream":
+        """The batches stably sorted by time (each keeps its IPIDs)."""
+        times = self.times
+        order = sorted(range(len(times)), key=times.__getitem__)
+        starts = self._offsets()
+        ipids = self.ipids
+        return BatchStream(
+            [times[i] for i in order],
+            [self.sizes[i] for i in order],
+            list(chain.from_iterable(ipids[starts[i] : starts[i + 1]] for i in order)),
+        )
+
+    def _offsets(self) -> List[int]:
+        if self._starts is None:
+            self._starts = [0, *accumulate(self.sizes)]
+        return self._starts
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self.times)))]
+        n = len(self.times)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("batch index out of range")
+        starts = self._offsets()
+        return BatchRecord(
+            self.times[index], tuple(self.ipids[starts[index] : starts[index + 1]])
+        )
+
+    def __iter__(self) -> Iterator[BatchRecord]:
+        ipids = iter(self.ipids)
+        for time_ns, size in zip(self.times, self.sizes):
+            yield BatchRecord(time_ns, tuple(islice(ipids, size)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, BatchStream):
+            return (
+                self.times == other.times
+                and self.sizes == other.sizes
+                and self.ipids == other.ipids
+            )
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"BatchStream({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -56,12 +157,13 @@ class ExitRecord:
 
 @dataclass
 class NFRecords:
-    """All batches collected at one NF."""
+    """All batches collected at one NF: lists while collecting,
+    :class:`BatchStream` columns when loaded from a dump."""
 
-    rx: List[BatchRecord] = field(default_factory=list)
-    tx: Dict[str, List[BatchRecord]] = field(default_factory=dict)
+    rx: Sequence[BatchRecord] = field(default_factory=list)
+    tx: Dict[str, Sequence[BatchRecord]] = field(default_factory=dict)
 
-    def tx_to(self, next_node: str) -> List[BatchRecord]:
+    def tx_to(self, next_node: str) -> Sequence[BatchRecord]:
         return self.tx.get(next_node, [])
 
 

@@ -299,6 +299,11 @@ class TraceColumns:
         self._pid_sorted = pkt_pid[self._pid_order]
         self._first_pos: Dict[int, object] = {}
         self._flows: Dict[Tuple[int, ...], FiveTuple] = {}
+        # Per packet row, a code per distinct ``pkt_flow`` row, and each
+        # code's FiveTuple; built on the first ``flow_counts`` and, like
+        # ``_flows``, a lookup cache that is never pickled.
+        self._flow_code = None
+        self._code_flows: List[FiveTuple] = []
         # Lexicographic (value, pid) pairs are packed into one int64 for
         # vectorized prefix mins; fall back to object tuples when the
         # trace's timestamps are too large to pack (never in practice).
@@ -418,11 +423,20 @@ class TraceColumns:
         """Packets per flow among the ``pids`` the trace holds, keyed in
         first-occurrence order (what counting ``packet.flow`` over the
         pids in order gives)."""
+        if self._flow_code is None:
+            keys, code = np.unique(self.pkt_flow, axis=0, return_inverse=True)
+            self._flow_code = code.reshape(-1)
+            self._code_flows = [self.flow(tuple(key)) for key in keys.tolist()]
         rows = self.rows_for_pids(pids)
-        counts: Dict[Tuple[int, ...], int] = {}
-        for key in map(tuple, self.pkt_flow[rows[rows >= 0]].tolist()):
-            counts[key] = counts.get(key, 0) + 1
-        return {self.flow(key): count for key, count in counts.items()}
+        codes, first, counts = np.unique(
+            self._flow_code[rows[rows >= 0]], return_index=True, return_counts=True
+        )
+        order = np.argsort(first)
+        flows = self._code_flows
+        return {
+            flows[code]: count
+            for code, count in zip(codes[order].tolist(), counts[order].tolist())
+        }
 
     # -- shared-memory codec --------------------------------------------------
 

@@ -2,7 +2,8 @@
 
 ``repro.core`` has one diagnosis path: numpy index, columnar trace; a
 trace is stored as columns only; the live merge has one clocked drain;
-reconstruction matches through an index and AutoFocus runs on int codes.
+reconstruction matches through an index and AutoFocus runs on int codes;
+a dump decodes into batch columns and flows are counted over int codes.
 The straightforward code the production paths were optimised from lives
 here, moved without algorithmic edits, so tests can assert equality
 against it:
@@ -18,13 +19,18 @@ against it:
   rows with their hop index and ``upstream_of`` cache, the list-backed
   ``NFView``, ``from_sim_result`` / ``from_reconstruction``, live
   ``_apply_event`` / ``prune_before`` / snapshot restore into objects) and
-  ``TraceColumns.from_trace``, the flatten the columns must equal.
+  ``TraceColumns.from_trace``, the flatten the columns must equal, and the
+  tuple-loop ``flow_counts`` (``counting_through`` swaps it in),
 * :mod:`tests.oracles.reconstruct` — the scan candidate lookup of the
   reconstruction matcher (``ScanStreamMatcher``; ``matching_through``
   swaps it into ``TraceReconstructor``),
 * :mod:`tests.oracles.autofocus` — the node-object passes of
   ``MultiAutoFocus.run`` (``OracleMultiAutoFocus``;
-  ``aggregating_through`` swaps it into ``PatternAggregator``).
+  ``aggregating_through`` swaps it into ``PatternAggregator``),
+* :mod:`tests.oracles.collector` — the per-record decoders and loader
+  (one ``BatchRecord`` per batch, one ``FiveTuple`` per record) and the
+  reconstructor's record-by-record stream flattening and tolerant-mode
+  validation (``reconstructing_through`` swaps those in).
 
 Nothing under ``src/`` imports this package.
 """

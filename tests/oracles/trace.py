@@ -15,6 +15,9 @@ builder lives here, moved without algorithmic edits:
 * :class:`ObjectIncrementalTrace` — ``IncrementalTrace`` applying records
   into the object graph (``_insert_sorted``, the topological hop insert),
   with its ``safe_cut`` / ``prune_before`` and the snapshot restore.
+* :func:`flow_counts_reference` — ``TraceColumns.flow_counts`` as a loop
+  over one Python tuple per pid's ``pkt_flow`` row; :func:`counting_through`
+  swaps it into ``TraceColumns``.
 
 Production columns must equal :func:`columns_from_trace` of the matching
 object trace, array for array, after any sequence of applies, prunes and
@@ -24,8 +27,10 @@ snapshot restores (``tests/ingest/test_live_columns.py``).
 from __future__ import annotations
 
 import bisect
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from unittest import mock
 
 import numpy as np
 
@@ -645,3 +650,23 @@ def packets_to_wire(trace) -> list:
         ]
         for packet in trace.packets.values()
     ]
+
+
+def flow_counts_reference(self, pids: Sequence[int]) -> Dict[FiveTuple, int]:
+    """Packets per flow among the ``pids`` the trace holds, keyed in
+    first-occurrence order (what counting ``packet.flow`` over the
+    pids in order gives)."""
+    rows = self.rows_for_pids(pids)
+    counts: Dict[Tuple[int, ...], int] = {}
+    for key in map(tuple, self.pkt_flow[rows[rows >= 0]].tolist()):
+        counts[key] = counts.get(key, 0) + 1
+    return {self.flow(key): count for key, count in counts.items()}
+
+
+@contextmanager
+def counting_through() -> Iterator[None]:
+    """Inside the block every ``TraceColumns.flow_counts`` is the tuple
+    loop (``causal_relations``, ``ranked_entities`` and ``explain``
+    with it)."""
+    with mock.patch.object(TraceColumns, "flow_counts", flow_counts_reference):
+        yield
