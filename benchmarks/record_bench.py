@@ -32,6 +32,7 @@ from repro.core.diagnosis import MicroscopeEngine  # noqa: E402
 from repro.core.records import DiagTrace  # noqa: E402
 from repro.core.streaming import StreamingConfig, StreamingDiagnosis  # noqa: E402
 from repro.core.victims import VictimSelector  # noqa: E402
+from repro.fleet import WorkerPool  # noqa: E402
 from repro.util.timebase import MSEC  # noqa: E402
 from tests.conftest import run_interrupt_chain  # noqa: E402
 
@@ -693,10 +694,6 @@ def main() -> int:
         "--repeats", type=int, default=3,
         help="timing repetitions per mode (best-of is recorded)",
     )
-    parser.add_argument(
-        "--workers", type=int, default=[2, 4], nargs="*",
-        help="worker counts to time for the parallel mode",
-    )
     args = parser.parse_args()
 
     print("simulating 20 ms interrupt chain ...", flush=True)
@@ -727,15 +724,15 @@ def main() -> int:
     outputs["serial_memoized_warm"] = canonical_bytes(diags)
     stats = warm_engine.cache_stats
 
-    for workers in args.workers:
-        key = f"parallel_{workers}w_s"
-        timings[key], diags = timed(
-            lambda w=workers: MicroscopeEngine(trace).diagnose_all(
-                victims, workers=w
-            ),
-            max(1, args.repeats - 2),  # pool startup dominates; fewer reps
+    # Pooled mode: the batch is one task on one warm worker (the fleet's
+    # dispatch shape), so one worker is the whole story; pool startup is
+    # paid once, outside the timing.
+    with WorkerPool(1) as pool:
+        timings["pooled_s"], diags = timed(
+            lambda: MicroscopeEngine(trace).diagnose_all(victims, executor=pool),
+            args.repeats,
         )
-        outputs[f"parallel_{workers}w"] = canonical_bytes(diags)
+    outputs["pooled"] = canonical_bytes(diags)
 
     reference = outputs["serial_memoized_cold"]
     identical = {name: blob == reference for name, blob in outputs.items()}

@@ -14,6 +14,7 @@ from repro.core.queuing import QueuingAnalyzer
 from repro.core.records import DiagTrace
 from repro.core.streaming import StreamingConfig, StreamingDiagnosis
 from repro.core.victims import VictimSelector
+from repro.fleet import WorkerPool
 from repro.nfv import Simulator, TrafficSource, Vpn, Topology, constant_target
 from repro.nfv.packet import FiveTuple, Packet
 from repro.util.rng import generator
@@ -130,13 +131,14 @@ def test_diagnose_all_memoized_warm(benchmark, heavy_chain):
 
 
 def test_diagnose_all_parallel_workers(benchmark, heavy_chain):
-    """Process-pool sharding; single round (pool startup dominates)."""
+    """Pooled dispatch: the batch is one task on one warm worker."""
     trace, victims = heavy_chain
-    diags = benchmark.pedantic(
-        lambda: MicroscopeEngine(trace).diagnose_all(victims, workers=2),
-        rounds=1,
-        iterations=1,
-    )
+    with WorkerPool(2) as pool:
+        diags = benchmark.pedantic(
+            lambda: MicroscopeEngine(trace).diagnose_all(victims, executor=pool),
+            rounds=1,
+            iterations=1,
+        )
     assert len(diags) == len(victims)
 
 
@@ -145,7 +147,8 @@ def test_diagnose_all_modes_identical(heavy_chain):
     trace, victims = heavy_chain
     memo = MicroscopeEngine(trace).diagnose_all(victims)
     plain = MicroscopeEngine(trace, memoize=False).diagnose_all(victims)
-    parallel = MicroscopeEngine(trace).diagnose_all(victims, workers=2)
+    with WorkerPool(2) as pool:
+        parallel = MicroscopeEngine(trace).diagnose_all(victims, executor=pool)
     assert [d.culprits for d in memo] == [d.culprits for d in plain]
     assert [d.culprits for d in memo] == [d.culprits for d in parallel]
 

@@ -12,7 +12,6 @@ from repro.core.diagnosis import (
     Culprit,
     MicroscopeEngine,
     VictimDiagnosis,
-    resolve_auto_workers,
 )
 from repro.core.explain import explain, explain_many
 from repro.core.local import LocalScores, local_scores, local_scores_batch
@@ -75,6 +74,5 @@ __all__ = [
     "propagation_scores",
     "rank_of_entity",
     "ranked_entities",
-    "resolve_auto_workers",
     "share_trace",
 ]

@@ -10,10 +10,10 @@ holds one plus topology metadata, and every code path reads it:
   from cumulative min/max arrays extended in batch,
 * ``diagnose_all`` resolves the whole depth-0 recursion frontier — every
   victim's queuing period — in one vectorized pass, and
-* parallel ``diagnose_all`` ships the columns through a POSIX
+* pooled ``diagnose_all`` ships the columns through a POSIX
   shared-memory block: workers *attach* by name (:func:`attach_trace`)
   instead of receiving a pickled trace, so the per-task dispatch payload
-  shrinks to a handle plus a victim-range.
+  shrinks to two block names.
 
 Layout
 ------
@@ -613,8 +613,8 @@ def share_victims(victims: Sequence, cols: TraceColumns):
     return _pack_block(arrays, {"n": n})
 
 
-def attach_victims(name: str, nf_names: Sequence[str], lo: int, hi: int):
-    """Decode victims ``[lo, hi)`` from a :func:`share_victims` block.
+def attach_victims(name: str, nf_names: Sequence[str]):
+    """Decode every victim of a :func:`share_victims` block.
 
     All fields are decoded to plain Python scalars, so the block is closed
     before returning the list.
@@ -623,7 +623,7 @@ def attach_victims(name: str, nf_names: Sequence[str], lo: int, hi: int):
 
     shm = _attach_shm(name)
     try:
-        arrays, _meta = _unpack_block(shm)
+        arrays, meta = _unpack_block(shm)
         victims = [
             Victim(
                 pid=int(arrays["pid"][i]),
@@ -632,7 +632,7 @@ def attach_victims(name: str, nf_names: Sequence[str], lo: int, hi: int):
                 arrival_ns=int(arrays["arrival"][i]),
                 metric=float(arrays["metric"][i]),
             )
-            for i in range(lo, hi)
+            for i in range(meta["n"])
         ]
         return victims
     finally:

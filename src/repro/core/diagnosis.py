@@ -27,23 +27,20 @@ so any PreSet prefix of the same buildup reuses one walk).  Memoization is
 result-invariant: every mode computes through the same code path, so
 culprit lists are bit-identical with it on or off.
 
-``diagnose_all`` runs victims serially in this process.  ``workers=N``
-hands the batch to a :class:`repro.fleet.WorkerPool` — the caller's
-(``executor=``) or one scoped to the call — which shards it across worker
-processes and reassembles results in victim order, identical to the serial
-output (see :meth:`repro.fleet.WorkerPool.diagnose` for the dispatch
-contract).  This module starts no process itself: it keeps the algorithm,
-the wire codec workers answer in (also the service's journal format) and
-the two worker-side entry points.  ``workers="auto"`` picks serial below
-a victim-count threshold (pool startup costs more than it saves on small
-workloads) and records the decision in ``cache_stats``.
+``diagnose_all`` runs victims serially in this process.  Handed an
+``executor`` (a fleet's :class:`repro.fleet.WorkerPool`), it ships the
+whole batch to that pool as one task on one warm worker, whose results
+are identical to the serial output (see
+:meth:`repro.fleet.WorkerPool.diagnose` for the dispatch contract).  This
+module starts no process itself: it keeps the algorithm, the wire codec
+workers answer in (also the service's journal format) and the two
+worker-side entry points.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.columnar import ColumnarPathDecomposition
 from repro.core.local import LocalScores, local_scores, local_scores_batch
@@ -60,40 +57,6 @@ from repro.errors import DiagnosisError, TraceError
 
 #: Valid culprit kinds (see :class:`Culprit`).
 CULPRIT_KINDS = ("local", "source", "low-evidence")
-
-#: ``workers="auto"`` stays serial below this victim count: measured pool
-#: startup (fork + engine rebuild or shm attach) costs several ms per
-#: worker, which dwarfs per-victim diagnosis time on small batches.
-AUTO_MIN_VICTIMS = 1024
-
-
-def resolve_auto_workers(
-    n_victims: int,
-    cpus: Optional[int] = None,
-    concurrent_pipelines: int = 1,
-) -> Optional[int]:
-    """Worker count for ``workers="auto"``; None means stay serial.
-
-    Serial whenever the machine has fewer than two usable cores or the
-    batch is below :data:`AUTO_MIN_VICTIMS`; otherwise up to four workers,
-    bounded by the core count (more shards than cores only adds dispatch
-    overhead for this CPU-bound workload).
-
-    ``concurrent_pipelines`` is the fleet dimension: N pipelines diagnosing
-    at once share the machine, so each one's slice of the core budget is
-    ``cpus // N`` — otherwise every pipeline would independently claim
-    "up to four workers" and an 8-pipeline fleet would oversubscribe a
-    4-core host 8×.  A pipeline whose slice falls below two cores stays
-    serial (its chunk still overlaps other pipelines' chunks through the
-    shared pool).
-    """
-    if cpus is None:
-        cpus = os.cpu_count() or 1
-    share = cpus // max(1, concurrent_pipelines)
-    if share < 2 or n_victims < AUTO_MIN_VICTIMS:
-        return None
-    return min(4, share)
-
 
 @dataclass(frozen=True)
 class Culprit:
@@ -172,17 +135,13 @@ class CacheStats:
     cross_chunk_hits: int = 0
     carried_entries: int = 0
     evicted_entries: int = 0
-    #: Parallel ``diagnose_all`` shards that lost their worker process and
-    #: were retried serially in the parent (``WorkerPool.diagnose``).
+    #: Pooled ``diagnose_all`` tasks that lost their worker process and
+    #: were retried serially in the caller (``WorkerPool.diagnose``).
     worker_failures: int = 0
-    #: Subset of ``worker_failures`` caused by a shard blowing through the
-    #: per-task deadline (``task_timeout_s``): the pool was presumed wedged,
-    #: its processes were killed, and the victims were retried serially.
+    #: Subset of ``worker_failures`` caused by a task blowing through the
+    #: per-task deadline (``task_timeout_s``): its worker was presumed
+    #: wedged and killed, and the victims were retried serially.
     worker_timeouts: int = 0
-    #: ``workers="auto"`` decisions: batches kept serial (below the victim
-    #: threshold or single-core) vs. batches actually sharded.
-    auto_serial_decisions: int = 0
-    auto_parallel_decisions: int = 0
 
     @property
     def hits(self) -> int:
@@ -231,11 +190,9 @@ class MicroscopeEngine:
         self._decomp_end: Dict[Tuple[str, int], int] = {}
         self._worker_failures = 0
         self._worker_timeouts = 0
-        self._auto_serial = 0
-        self._auto_parallel = 0
-        #: Dispatch telemetry of the most recent parallel ``diagnose_all``:
-        #: ``{"mode": "shm" | "serial", "payload_bytes_per_task": int | None,
-        #: "inline_shards": int}``, written by ``WorkerPool.diagnose``.
+        #: Dispatch telemetry of the most recent pooled ``diagnose_all``:
+        #: ``{"mode": "shm" | "serial", "payload_bytes_per_task": int | None}``,
+        #: written by ``WorkerPool.diagnose``.
         self.last_dispatch: Optional[Dict[str, object]] = None
 
     @property
@@ -256,8 +213,6 @@ class MicroscopeEngine:
             evicted_entries=self._evicted_entries,
             worker_failures=self._worker_failures,
             worker_timeouts=self._worker_timeouts,
-            auto_serial_decisions=self._auto_serial,
-            auto_parallel_decisions=self._auto_parallel,
         )
 
     @property
@@ -491,60 +446,27 @@ class MicroscopeEngine:
     def diagnose_all(
         self,
         victims: Sequence[Victim],
-        workers: Union[int, str, None] = None,
         task_timeout_s: Optional[float] = None,
         executor=None,
-        concurrent_pipelines: int = 1,
     ) -> List[VictimDiagnosis]:
-        """Diagnose every victim, serially or across a process pool.
+        """Diagnose every victim, in victim order.
 
-        ``workers=None`` (or ``0``/``1``) runs serially, and
-        ``workers="auto"`` lets :func:`resolve_auto_workers` decide —
-        serial below :data:`AUTO_MIN_VICTIMS` victims or on a single core,
-        with the decision counted in ``cache_stats``.  ``workers=N`` hands
-        this engine to :meth:`repro.fleet.WorkerPool.diagnose`, which
-        shards the victims across worker processes and returns results in
-        victim order, identical to the serial output.
+        Without an ``executor`` the batch runs serially in this thread.
+        With one (a :class:`repro.fleet.WorkerPool` a fleet shares across
+        its pipelines) the batch is one task on one warm worker, so a
+        pipeline's chunk computes outside this process while sibling
+        threads journal; the output is identical to the serial one.
 
-        ``executor`` is a persistent :class:`repro.fleet.WorkerPool` whose
-        warm workers and registered trace segments are reused across
-        calls; without one, a pool of ``workers`` processes is opened for
-        this call and closed on every exit path.  With an executor even
-        ``workers=1`` goes through the pool — the point of the fleet plane
-        is that the chunk then computes *outside* this process, so
-        concurrent pipelines overlap despite the GIL.
-
-        ``task_timeout_s`` is the pool's per-shard watchdog: a shard that
-        misses the deadline has its worker killed while finished siblings
-        are still harvested; victims of killed or crashed shards are
-        retried serially here, counted in
+        ``task_timeout_s`` is the pool's per-task watchdog: a task that
+        misses it has its worker killed, and a lost task (timed out,
+        crashed or errored) is diagnosed serially here, counted in
         ``cache_stats.worker_timeouts``/``worker_failures``.
-        ``concurrent_pipelines`` feeds the ``"auto"`` resolver so N
-        pipelines sharing the host don't oversubscribe it N-fold.
         """
-        if workers == "auto":
-            workers = resolve_auto_workers(
-                len(victims), concurrent_pipelines=concurrent_pipelines
-            )
-            if workers is None and executor is not None and len(victims) > 1:
-                # Under a pool, "stay serial" still means "run in one warm
-                # worker": the decision is about shard count, not about
-                # computing inline and serializing the fleet.
-                workers = 1
-            if workers is None:
-                self._auto_serial += 1
-            else:
-                self._auto_parallel += 1
-        if executor is not None and workers is not None and workers >= 1 and victims:
-            return executor.diagnose(self, victims, workers, task_timeout_s)
-        if workers is None or workers <= 1 or len(victims) <= 1:
-            if len(victims) > 1:
-                self._prefill_periods(victims)
-            return [self.diagnose(victim) for victim in victims]
-        from repro.fleet.pool import WorkerPool
-
-        with WorkerPool(min(workers, len(victims))) as pool:
-            return pool.diagnose(self, victims, workers, task_timeout_s)
+        if executor is not None:
+            return executor.diagnose(self, victims, task_timeout_s)
+        if len(victims) > 1:
+            self._prefill_periods(victims)
+        return [self.diagnose(victim) for victim in victims]
 
     # -- dispatcher contract (what a worker pool needs from the engine) ---------
 
@@ -560,7 +482,7 @@ class MicroscopeEngine:
         )
 
     def record_worker_failure(self, timed_out: bool = False) -> None:
-        """Count one shard the pool lost (and will have retried serially)."""
+        """Count one task the pool lost (and will have retried serially)."""
         self._worker_failures += 1
         if timed_out:
             self._worker_timeouts += 1
@@ -818,7 +740,7 @@ class MicroscopeEngine:
 # though the parent already holds them.  Workers therefore return one flat
 # tuple of primitives per victim; the parent rebuilds the dataclasses
 # around the victims it submitted.  Reconstruction is deterministic and
-# field-exact, so parallel output stays bit-identical to serial output
+# field-exact, so pooled output stays bit-identical to serial output
 # (pinned by tests/core/test_fastpath.py).
 #
 # Layout per diagnosis (victim-dependent fields are *omitted* — every

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple
 
 from repro.core.diagnosis import MicroscopeEngine, VictimDiagnosis
 from repro.core.records import DiagTrace
@@ -88,30 +88,24 @@ class StreamingDiagnosis:
         trace: DiagTrace,
         config: Optional[StreamingConfig] = None,
         victim_pct: float = 99.0,
-        workers: Union[int, str, None] = None,
         task_timeout_s: Optional[float] = None,
         victim_threshold_ns: Optional[int] = None,
         executor=None,
-        concurrent_pipelines: int = 1,
         **engine_kwargs,
     ) -> None:
         self.trace = trace
         self.config = config or StreamingConfig()
         self.victim_pct = victim_pct
         #: Persistent worker pool (fleet plane) forwarded to
-        #: ``diagnose_all``; None means ``workers=N`` opens one per call.
+        #: ``diagnose_all``; None means chunks diagnose serially in-thread.
         self.executor = executor
-        #: Fleet fan-out hint for the ``workers="auto"`` resolver.
-        self.concurrent_pipelines = concurrent_pipelines
         #: Absolute hop-latency victim threshold.  When set it replaces
         #: the percentile rule with the prefix-stable
         #: ``hop_latency_victims_over`` selection — required in live mode,
         #: where chunks are diagnosed before the trace has finished
         #: growing and a trace-global percentile would not be causal.
         self.victim_threshold_ns = victim_threshold_ns
-        #: Per-chunk diagnosis parallelism, forwarded to ``diagnose_all``.
-        self.workers = workers
-        #: Per-shard watchdog deadline forwarded to ``diagnose_all`` —
+        #: Per-task watchdog deadline forwarded to ``diagnose_all`` —
         #: a wedged worker is killed and its victims retried serially.
         self.task_timeout_s = task_timeout_s
         #: Extra MicroscopeEngine arguments (e.g. ``memoize=False``).
@@ -311,16 +305,8 @@ class StreamingDiagnosis:
             )
         if victims is None:
             victims = self._victims_in(start, chunk_end)
-        diagnoses = (
-            engine.diagnose_all(
-                victims,
-                workers=self.workers,
-                task_timeout_s=self.task_timeout_s,
-                executor=self.executor,
-                concurrent_pipelines=self.concurrent_pipelines,
-            )
-            if victims
-            else []
+        diagnoses = engine.diagnose_all(
+            victims, task_timeout_s=self.task_timeout_s, executor=self.executor
         )
         stats_after = engine.cache_stats
         health = self._chunk_health(diagnoses, window_start, chunk_end)

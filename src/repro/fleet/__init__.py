@@ -1,5 +1,5 @@
-"""Fleet-scale execution plane: shared warm worker pool, fair chunk
-scheduling, multi-pipeline supervision, cross-pipeline rollups."""
+"""Fleet-scale execution plane: shared warm worker pool (one task per
+chunk), multi-pipeline supervision, cross-pipeline rollups."""
 
 from repro.fleet.listeners import FleetListeners
 from repro.fleet.pool import PendingTask, PoolStats, WorkerPool
@@ -10,7 +10,6 @@ from repro.fleet.rollup import (
     tally_from_journal,
 )
 from repro.fleet.supervisor import (
-    FairScheduler,
     FleetConfig,
     FleetReport,
     FleetSupervisor,
@@ -18,7 +17,6 @@ from repro.fleet.supervisor import (
 )
 
 __all__ = [
-    "FairScheduler",
     "FleetConfig",
     "FleetListeners",
     "FleetReport",

@@ -1,13 +1,12 @@
-"""The one way out of the process: a worker pool that shards diagnosis.
+"""The one way out of the process: a pool of warm diagnosis workers.
 
 :class:`WorkerPool` is the only code in the repository that starts
-processes for diagnosis.  :meth:`WorkerPool.diagnose` shards a victim
-batch across the pool's workers and reassembles results in victim order,
+processes for diagnosis.  :meth:`WorkerPool.diagnose` ships a victim
+batch to one worker as one task and returns results in victim order,
 byte-identical to the serial engine; ``MicroscopeEngine.diagnose_all``
-hands itself to it — to the caller's pool (``executor=``, the fleet
-plane: one pool shared by every pipeline for the life of the run) or to
-one opened for the call and closed on every exit path (``workers=N``
-alone).  What a long-lived pool amortizes:
+hands itself to it when a caller passes the pool as ``executor=`` (the
+fleet plane: one pool shared by every pipeline for the life of the run).
+What a long-lived pool amortizes:
 
 * **warm workers** — processes are forked once at pool construction and
   serve tasks over duplex pipes until :meth:`close`.  A worker keeps a
@@ -27,28 +26,24 @@ alone).  What a long-lived pool amortizes:
   included);
 * **checkout fairness** — free workers live in a FIFO queue; concurrent
   pipeline threads block on checkout and are served in arrival order, so
-  no pipeline can starve another while the pool is saturated.
+  no pipeline can starve another while the pool is saturated.  A caller
+  checks out one worker per call and holds none while it waits, so
+  pipelines sharing a small pool cannot hold-and-wait each other.
+  ``PoolStats.checkout_waits`` counts checkouts that found no free
+  worker — the only place a chunk waits on the pool.
 
 Who shares, who unlinks: the pool creates and unlinks trace segments
 (``register_trace`` … ``close``); :meth:`diagnose` creates the small
 per-call victim block and unlinks it in its own ``finally``; workers only
 ever attach by name and close their mapping.
 
-Deadlock discipline: :meth:`submit` takes an optional ``timeout`` and
-returns ``None`` when no worker frees up in time.  Callers follow one
-rule — *never block on checkout while holding checked-out workers*.
-:meth:`diagnose` blocks only for its first shard (holding nothing) and
-uses timed submits afterwards, falling back to inline diagnosis when the
-pool stays contended, so N pipelines sharing a small pool cannot
-hold-and-wait each other into a standstill.
-
 Failure accounting: a worker that dies or misses its deadline is killed
-and a replacement spawned (``respawns`` in :class:`PoolStats`); only that
-shard is lost, and :meth:`diagnose` retries it serially in the caller,
-counted in the engine's ``cache_stats.worker_failures``/``worker_timeouts``.
-A call whose blocks cannot be shared at all (no shared memory on the
-platform, ``/dev/shm`` exhausted) submits nothing and takes that same
-serial path for every shard; ``last_dispatch["mode"]`` says so.
+and a replacement spawned (``respawns`` in :class:`PoolStats`); the lost
+task is diagnosed serially in the caller, counted in the engine's
+``cache_stats.worker_failures``/``worker_timeouts``.  A call whose victim
+block cannot be shared at all (no shared memory on the platform,
+``/dev/shm`` exhausted) submits nothing and takes that same serial path;
+``last_dispatch["mode"]`` says so.
 Replacements use the ``spawn`` start method: a mid-run respawn happens
 from an already-multithreaded parent (pipeline threads, possibly holding
 locks), where ``fork`` could deadlock the child — only the initial
@@ -66,10 +61,9 @@ import multiprocessing
 import pickle
 import queue
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import repro.core.diagnosis as diagnosis_mod
 from repro.core import columnar
@@ -96,6 +90,8 @@ class PoolStats:
     #: Trace registry: segments built vs. calls served by a live segment.
     trace_shares: int = 0
     trace_reuses: int = 0
+    #: Checkouts that found no free worker and blocked for one.
+    checkout_waits: int = 0
 
     def to_payload(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -112,7 +108,7 @@ class _Worker:
 
 
 class PendingTask:
-    """Handle for one submitted shard; :meth:`result` returns the worker."""
+    """Handle for one submitted task; :meth:`result` returns the worker."""
 
     def __init__(
         self,
@@ -125,14 +121,13 @@ class PendingTask:
         self._segment = segment
         self._done = False
 
-    def result(self, deadline: Optional[float] = None):
+    def result(self, timeout_s: Optional[float] = None):
         """``(status, payload)``: ``("ok", wires)``, ``("error", msg)`` or
         ``("timeout", None)``.
 
-        ``deadline`` is an absolute ``time.monotonic()`` instant shared by
-        sibling shards.  A missed deadline kills this worker (a wedged
-        process never honours a soft shutdown) and spawns a replacement;
-        only the expired shard is lost — siblings keep their workers.
+        ``timeout_s`` is this task's watchdog, counted from now.  A missed
+        deadline kills this worker (a wedged process never honours a soft
+        shutdown) and spawns a replacement.
         """
         if self._done:
             raise FleetError("pool task result consumed twice")
@@ -140,9 +135,8 @@ class PendingTask:
         worker, pool = self._worker, self._pool
         try:
             try:
-                if deadline is not None:
-                    remaining = max(0.0, deadline - time.monotonic())
-                    if not worker.conn.poll(remaining):
+                if timeout_s is not None:
+                    if not worker.conn.poll(timeout_s):
                         pool._retire(worker)
                         pool._bump(timeouts=1, failures=1)
                         return ("timeout", None)
@@ -157,7 +151,7 @@ class PendingTask:
                 pool._bump(failures=1)
             return (status, payload)
         finally:
-            # This shard no longer references its trace segment — an
+            # This task no longer references its trace segment — an
             # evicted generation waiting on it may now be unlinked.
             pool._decref_segment(self._segment)
 
@@ -379,42 +373,33 @@ class WorkerPool:
 
     # -- dispatch ---------------------------------------------------------------
 
-    def submit(
-        self, task: tuple, timeout: Optional[float] = None
-    ) -> Optional[PendingTask]:
-        """Check out a free worker (FIFO) and send; ``None`` on timeout.
+    def submit(self, task: tuple) -> PendingTask:
+        """Check out a free worker (FIFO, blocking) and send ``task``.
 
-        ``timeout=None`` blocks until a worker frees up — only safe for a
-        caller holding no checked-out workers (see module docstring);
-        ``timeout=0`` polls.  The task is a ``("shm", trace_name,
-        victims_name, lo, hi, params)`` tuple.
+        Blocking is safe because a caller holds no other worker while it
+        waits.  The task is a ``("shm", trace_name, victims_name,
+        params)`` tuple.
         """
         if self.closed:
             raise FleetError("submit on a closed pool")
-        worker = self._checkout(timeout)
-        if worker is None:
-            return None
+        worker = self._checkout()
         self._bump(tasks=1)
         try:
             worker.conn.send(task)
         except (OSError, ValueError):
             # Send failed (worker died between tasks): retire and retry
-            # once on a fresh worker.  _retire put a replacement in the
-            # queue, so this checkout returns promptly; a short deadline
-            # guards the race where another thread grabs it first.
+            # once on a fresh worker; _retire queued a replacement.
             self._retire(worker)
-            worker = self._checkout(timeout=30.0)
-            if worker is None:  # pragma: no cover - replacement raced away
-                raise FleetError("no worker available to retry failed send")
+            worker = self._checkout()
             try:
                 worker.conn.send(task)
             except (OSError, ValueError):
                 # Second worker also dead: retire it too (never leak a
                 # checked-out worker — the pool must not shrink) and give
-                # up; the caller's serial fallback covers the shard.
+                # up; the caller's serial fallback covers the batch.
                 self._retire(worker)
                 raise
-        segment = task[1] if task and task[0] == "shm" else None
+        segment = task[1]
         self._incref_segment(segment)
         return PendingTask(self, worker, segment)
 
@@ -422,37 +407,26 @@ class WorkerPool:
         self,
         engine,
         victims: Sequence,
-        shards: int,
         task_timeout_s: Optional[float] = None,
     ) -> List:
-        """Diagnose ``victims`` for ``engine`` across up to ``shards`` workers.
+        """Diagnose ``victims`` for ``engine`` as one task on one worker.
 
-        Victims are cut into contiguous shards (never more than the pool
-        has workers — more could not run concurrently).  The trace is
-        *registered* with the pool and the victims cross as one small
-        shared block created and unlinked here, so a task is two names
-        plus a range.  Results are reassembled in victim order, identical
-        to the serial output.
+        The trace is *registered* with the pool and the victims cross as
+        one small shared block created and unlinked here, so the task is
+        two names plus the engine parameters.  Results come back in
+        victim order, identical to the serial output; an empty batch
+        returns ``[]`` without submitting anything.
 
-        ``task_timeout_s`` is one wall-clock deadline shared by the
-        call's shards: an expired shard's worker is killed, finished
-        siblings are still harvested.  Every shard without a result —
-        timed out, crashed, errored, or run inline because sibling
-        pipelines kept the pool contended (``last_dispatch
-        ["inline_shards"]``, see the module's deadlock discipline) — is
-        diagnosed serially by ``engine`` in this thread, failures counted
-        via ``engine.record_worker_failure``.  When the blocks cannot be
+        ``task_timeout_s`` is the task's watchdog, started once the task
+        is sent: an expired task's worker is killed.  A batch without a
+        result — timed out, crashed or errored, failures counted via
+        ``engine.record_worker_failure`` — or whose block cannot be
         shared at all (no shared memory on this platform, ``/dev/shm``
-        exhausted) that is every shard: no task is submitted and
-        ``last_dispatch["mode"]`` reads ``"serial"``.
+        exhausted; ``last_dispatch["mode"]`` reads ``"serial"``) is
+        diagnosed serially by ``engine`` in this thread.
         """
-        n_shards = max(1, min(shards, self.size, len(victims)))
-        shard_size = (len(victims) + n_shards - 1) // n_shards
-        bounds = [
-            (lo, min(lo + shard_size, len(victims)))
-            for lo in range(0, len(victims), shard_size)
-        ]
-        params = engine.worker_init_args()[1:]
+        if not victims:
+            return []
         trace_name = None
         victims_shm = None
         if columnar.shm_available():
@@ -462,81 +436,43 @@ class WorkerPool:
                     victims, engine.trace.columns()
                 )
             except OSError:  # e.g. /dev/shm exhausted
-                pass  # nothing to hand a worker: every shard runs serially below
-        shard_wires: List[Optional[list]] = [None] * len(bounds)
+                pass  # nothing to hand a worker: the batch runs serially below
+        wires = None
         try:
-            tasks = []
+            task = None
             if victims_shm is not None:
-                tasks = [
-                    ("shm", trace_name, victims_shm.name, lo, hi, params)
-                    for lo, hi in bounds
-                ]
+                params = engine.worker_init_args()[1:]
+                task = ("shm", trace_name, victims_shm.name, params)
             engine.last_dispatch = {
-                "mode": "shm" if tasks else "serial",
-                "payload_bytes_per_task": max(
-                    (len(pickle.dumps(task)) for task in tasks), default=None
+                "mode": "serial" if task is None else "shm",
+                "payload_bytes_per_task": (
+                    None if task is None else len(pickle.dumps(task))
                 ),
             }
-            deadline = (
-                None if task_timeout_s is None else time.monotonic() + task_timeout_s
-            )
-            inline_shards = 0
-            pending: List[Tuple[int, PendingTask]] = []
-
-            def harvest(idx: int, handle: PendingTask) -> None:
-                status, wires = handle.result(deadline)
+            if task is not None:
+                status, payload = self.submit(task).result(task_timeout_s)
                 if status == "ok":
-                    shard_wires[idx] = wires
+                    wires = payload
                 else:
                     engine.record_worker_failure(timed_out=status == "timeout")
-
-            for idx, task in enumerate(tasks):
-                if not pending:
-                    # Holding no workers: blocking here cannot deadlock
-                    # and FIFO checkout keeps it fair.
-                    handle = self.submit(task)
-                else:
-                    # Holding workers: never block.  Poll; if saturated,
-                    # free one of our own by harvesting the oldest shard,
-                    # retry briefly, and fall back to inline diagnosis
-                    # when siblings keep the pool contended.
-                    handle = self.submit(task, timeout=0)
-                    if handle is None:
-                        harvest(*pending.pop(0))
-                        handle = self.submit(task, timeout=0.05)
-                    if handle is None:
-                        inline_shards += 1
-                        continue
-                pending.append((idx, handle))
-            for idx, handle in pending:
-                harvest(idx, handle)
-            engine.last_dispatch["inline_shards"] = inline_shards
         finally:
             # The trace segment stays with the pool (unlinked by close());
             # the per-call victim block must not outlive this call on any
             # path, BaseException included.
             if victims_shm is not None:
                 columnar.unlink_block(victims_shm)
-        results: List = []
-        for (lo, hi), wires in zip(bounds, shard_wires):
-            shard = victims[lo:hi]
-            if wires is None:
-                results.extend(engine.diagnose(victim) for victim in shard)
-            else:
-                # Workers ship compact wire tuples, not pickled dataclass
-                # trees; reconstruction on this side is deterministic.
-                results.extend(map(diagnosis_mod.diagnosis_from_wire, shard, wires))
-        return results
+        if wires is None:
+            return engine.diagnose_all(victims)
+        # Workers ship compact wire tuples, not pickled dataclass trees;
+        # reconstruction on this side is deterministic.
+        return list(map(diagnosis_mod.diagnosis_from_wire, victims, wires))
 
-    def _checkout(self, timeout: Optional[float] = None) -> Optional[_Worker]:
+    def _checkout(self) -> _Worker:
         try:
-            if timeout is None:
-                return self._free.get()
-            if timeout <= 0:
-                return self._free.get_nowait()
-            return self._free.get(timeout=timeout)
+            return self._free.get_nowait()
         except queue.Empty:
-            return None
+            self._bump(checkout_waits=1)
+            return self._free.get()
 
     # -- shutdown ---------------------------------------------------------------
 
@@ -622,7 +558,7 @@ def _pool_worker_main(conn) -> None:
                 break
             try:
                 if task[0] == "shm":
-                    _kind, trace_name, victims_name, lo, hi, params = task
+                    _kind, trace_name, victims_name, params = task
                     key = (trace_name, params)
                     engine = engines.get(key)
                     if engine is None:
@@ -637,10 +573,7 @@ def _pool_worker_main(conn) -> None:
                         diagnosis_mod._WORKER_ENGINE = engine
                     engines.move_to_end(key)
                     victims = columnar.attach_victims(
-                        victims_name,
-                        engine.trace.columns().nf_names,
-                        lo,
-                        hi,
+                        victims_name, engine.trace.columns().nf_names
                     )
                     conn.send(("ok", diagnosis_mod._parallel_worker_diagnose(victims)))
                 else:

@@ -4,15 +4,16 @@
 per :class:`PipelineSpec` (one per NF chain / site / tenant), each in its
 own thread, all sharing
 
-* one persistent :class:`~repro.fleet.pool.WorkerPool` — chunk diagnosis
-  dispatches to warm worker processes, so pipelines genuinely overlap:
-  while pipeline A's chunk computes in a pool process, pipeline B's
-  thread journals/fsyncs its previous chunk and seals ingest for the
-  next one.  Trace segments are registered with the pool once and reused
-  across chunks (mutation-keyed), not re-shared per call;
-* one :class:`FairScheduler` — bounds per-pipeline inflight chunks and
-  admits waiting pipelines in FIFO-fair order, so a heavy pipeline
-  cannot starve the rest while the pool is saturated.  Under
+* one persistent :class:`~repro.fleet.pool.WorkerPool` — each chunk is
+  one task on one warm worker process, so pipelines overlap: while
+  pipeline A's chunk computes in a pool process, pipeline B's thread
+  journals/fsyncs its previous chunk and seals ingest for the next one.
+  Trace segments are registered with the pool once and reused across
+  chunks (mutation-keyed), not re-shared per call.  The pool's FIFO
+  checkout serves waiting pipelines in arrival order, so a heavy
+  pipeline cannot starve the rest while the pool is saturated;
+* one :class:`InflightCounter` — telemetry only: chunks admitted, peak
+  chunks in flight, and chunks whose pool checkout had to wait.  Under
   *oversubscription* (more pipelines than pool workers) an optional
   fleet-wide victim budget caps each chunk through the service's
   existing deterministic shed path — load shedding stays journalled and
@@ -37,9 +38,10 @@ cross-pipeline :class:`~repro.fleet.rollup.FleetRollup` ("NAT slow path,
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.records import DiagTrace
 from repro.errors import FleetError, ServiceStopped
@@ -82,14 +84,8 @@ class FleetConfig:
     #: pipelines diagnose inline in their threads, still concurrent for
     #: the journal/fsync and ingest portions).
     pool_workers: int = 2
-    #: Per-pipeline ``diagnose_all`` parallelism (shards per chunk).
-    workers: Union[int, str, None] = 1
+    #: Per-task watchdog for a chunk's pooled diagnosis.
     task_timeout_s: Optional[float] = None
-    #: Max chunks one pipeline may have inflight at once (scheduler).
-    max_inflight_chunks: int = 1
-    #: Optional fleet-wide cap on concurrently-inflight chunks across all
-    #: pipelines (None = bounded only by pipeline count).
-    max_concurrent_chunks: Optional[int] = None
     #: Victim budget per chunk applied to every pipeline when the fleet
     #: is *oversubscribed* (more pipelines than pool workers).  A pure
     #: function of this config — never of runtime timing — so the shed
@@ -117,81 +113,47 @@ class FleetConfig:
     def __post_init__(self) -> None:
         if self.pool_workers < 0:
             raise FleetError(f"pool_workers must be >= 0: {self.pool_workers}")
-        if self.max_inflight_chunks < 1:
-            raise FleetError(
-                f"max_inflight_chunks must be >= 1: {self.max_inflight_chunks}"
-            )
 
 
-class FairScheduler:
-    """FIFO-fair chunk admission with per-pipeline inflight bounds.
+class InflightCounter:
+    """Fleet-wide chunk telemetry; never blocks a chunk.
 
-    ``acquire`` blocks until this pipeline holds fewer than
-    ``per_pipeline`` slots and (optionally) fewer than ``max_concurrent``
-    slots are held fleet-wide; among eligible waiters, arrival order
-    wins, so a pipeline that keeps finishing chunks cannot indefinitely
-    overtake one that has been waiting.  Slots gate pacing only — they
-    are released in ``finally`` even when a chunk unwinds with a
-    simulated crash, so no waiter is ever stranded.
+    Each pipeline thread runs its chunks one at a time inside
+    :meth:`chunk`, so the counter only observes: ``admitted`` chunks,
+    ``peak_inflight`` chunks at once, and ``waited`` — chunks whose pool
+    checkout found no free worker (the pool's FIFO checkout is the one
+    place a chunk can wait; 0 without a pool).
     """
 
-    def __init__(
-        self,
-        per_pipeline: int = 1,
-        max_concurrent: Optional[int] = None,
-    ) -> None:
-        self.per_pipeline = per_pipeline
-        self.max_concurrent = max_concurrent
-        self._cond = threading.Condition()
-        self._inflight: Dict[str, int] = {}
-        self._waiters: List[Tuple[object, str]] = []
-        #: Telemetry: admissions, admissions that had to wait, peak
-        #: concurrently-inflight chunks.
+    def __init__(self, pool: Optional[WorkerPool] = None) -> None:
+        self._pool = pool
+        # An injected pool may have served earlier runs: count this
+        # run's waits only.
+        self._waits_before = self._pool_waits()
+        self._lock = threading.Lock()
+        self._inflight = 0
         self.admitted = 0
-        self.waited = 0
         self.peak_inflight = 0
 
-    def _next_eligible(self) -> Optional[object]:
-        total = sum(self._inflight.values())
-        if self.max_concurrent is not None and total >= self.max_concurrent:
-            return None
-        for ticket, pipeline in self._waiters:
-            if self._inflight.get(pipeline, 0) < self.per_pipeline:
-                return ticket
-        return None
+    def _pool_waits(self) -> int:
+        return self._pool.stats.checkout_waits if self._pool is not None else 0
 
-    def acquire(self, pipeline: str) -> None:
-        ticket = object()
-        with self._cond:
-            self._waiters.append((ticket, pipeline))
-            waited = False
-            while self._next_eligible() is not ticket:
-                waited = True
-                self._cond.wait()
-            self._waiters = [w for w in self._waiters if w[0] is not ticket]
-            self._inflight[pipeline] = self._inflight.get(pipeline, 0) + 1
+    @contextmanager
+    def chunk(self) -> Iterator[None]:
+        with self._lock:
             self.admitted += 1
-            if waited:
-                self.waited += 1
-            total = sum(self._inflight.values())
-            if total > self.peak_inflight:
-                self.peak_inflight = total
-
-    def release(self, pipeline: str) -> None:
-        with self._cond:
-            held = self._inflight.get(pipeline, 0)
-            if held <= 0:
-                raise FleetError(f"release without acquire for {pipeline!r}")
-            if held == 1:
-                del self._inflight[pipeline]
-            else:
-                self._inflight[pipeline] = held - 1
-            self._cond.notify_all()
+            self._inflight += 1
+            self.peak_inflight = max(self.peak_inflight, self._inflight)
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._inflight -= 1
 
     def stats(self) -> dict:
         return {
             "admitted": self.admitted,
-            "waited": self.waited,
+            "waited": self._pool_waits() - self._waits_before,
             "peak_inflight": self.peak_inflight,
         }
 
@@ -238,7 +200,7 @@ class FleetSupervisor:
 
     def _pipeline_config(self, spec: PipelineSpec) -> ServiceConfig:
         """The spec's config, or one derived from the fleet defaults —
-        either way with the fleet fan-out and overload budget applied."""
+        either way with the overload budget applied."""
         cfg = self.config
         if spec.config is not None:
             service_cfg = spec.config
@@ -250,7 +212,6 @@ class FleetSupervisor:
                 victim_pct=cfg.victim_pct,
                 victim_threshold_ns=cfg.victim_threshold_ns,
                 tally_compact_every=cfg.tally_compact_every,
-                workers=cfg.workers,
                 task_timeout_s=cfg.task_timeout_s,
                 max_victims_per_chunk=cfg.max_victims_per_chunk,
                 durable=cfg.durable,
@@ -261,16 +222,13 @@ class FleetSupervisor:
                 replay_retain_chunks=cfg.replay_retain_chunks,
                 dead_letter_chunks=cfg.dead_letter_chunks,
             )
-        overrides: dict = {}
-        if service_cfg.concurrent_pipelines == 1 and len(self.pipelines) > 1:
-            overrides["concurrent_pipelines"] = len(self.pipelines)
         budget = self._overload_budget()
         if budget is not None and (
             service_cfg.max_victims_per_chunk is None
             or service_cfg.max_victims_per_chunk > budget
         ):
-            overrides["max_victims_per_chunk"] = budget
-        return replace(service_cfg, **overrides) if overrides else service_cfg
+            return replace(service_cfg, max_victims_per_chunk=budget)
+        return service_cfg
 
     def _overload_budget(self) -> Optional[int]:
         """Victim budget under oversubscription — config-derived only, so
@@ -335,10 +293,7 @@ class FleetSupervisor:
         if pool is None and cfg.pool_workers > 0:
             pool = WorkerPool(cfg.pool_workers)
             owns_pool = True
-        scheduler = FairScheduler(
-            per_pipeline=cfg.max_inflight_chunks,
-            max_concurrent=cfg.max_concurrent_chunks,
-        )
+        inflight = InflightCounter(pool)
         stop = threading.Event()
         lock = threading.Lock()
         outcomes: Dict[str, ServiceReport] = {}
@@ -357,7 +312,7 @@ class FleetSupervisor:
                     executor=pool,
                     stop_check=stop.is_set,
                     pipeline=spec.name,
-                    scheduler=scheduler,
+                    inflight=inflight,
                 )
                 thread = threading.Thread(
                     target=self._run_pipeline,
@@ -387,7 +342,7 @@ class FleetSupervisor:
                 pool_stats=(
                     pool.stats.to_payload() if pool is not None else {}
                 ),
-                scheduler_stats=scheduler.stats(),
+                scheduler_stats=inflight.stats(),
             )
             if faults is not None:
                 faults.kill("fleet-rollup", 0)

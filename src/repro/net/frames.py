@@ -28,6 +28,10 @@ Frame types
              :data:`~repro.ingest.records.RECORD_KINDS`).
 ``ACK``      server -> sender: same shape as WELCOME, sent after each
              DATA/HEARTBEAT so acked sequences and credits stay fresh.
+             An ACK answering DATA that overran the credit window also
+             carries ``{"resend": {stream: seq}}``, the first sequence
+             the server dropped; the sender sends it and everything
+             after it again.
 ``HEARTBEAT`` either direction: liveness when there is nothing to say.
 ``EOS``      sender -> server: ``{"s": stream, "final_seq": n}`` — the
              stream carries exactly the sequences ``[0, n)``; once all

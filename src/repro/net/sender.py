@@ -18,7 +18,10 @@ Unix-domain socket.  Its contract is *at-least-once, resumable*:
   byte-identical to offline;
 * credit advertised in ACKs bounds how many unacked records may be in
   flight per stream, so a slow service backpressures collectors across
-  the network instead of filling kernel buffers.
+  the network instead of filling kernel buffers.  Records the server
+  dropped past its window anyway (a reconnect's zombie connection can
+  fill it) come back in the ACK's ``resend`` and are sent again on the
+  same connection.
 
 The sender is deliberately single-threaded and caller-driven: ``push``
 enqueues, ``pump`` performs bounded I/O, ``finish`` flushes and
@@ -134,6 +137,14 @@ class _StreamOut:
     @property
     def inflight(self) -> int:
         return self.unsent
+
+    def rewind(self, seq: int) -> None:
+        """Mark in-flight records from ``seq`` on as unsent again: the
+        server dropped them unacknowledged."""
+        keep = 0
+        while keep < self.unsent and self.pending[keep].seq < seq:
+            keep += 1
+        self.unsent = keep
 
     def prune_acked(self, acked_seq: int) -> int:
         """Drop pending records at or below ``acked_seq``; return count."""
@@ -358,6 +369,10 @@ class RecordSender:
             state = self._streams.get(name)
             if state is not None:
                 state.credit = int(n)
+        for name, seq in payload.get("resend", {}).items():
+            state = self._streams.get(name)
+            if state is not None:
+                state.rewind(int(seq))
         for name, flag in payload.get("eos", {}).items():
             state = self._streams.get(name)
             if state is not None and flag:

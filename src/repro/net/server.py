@@ -24,7 +24,12 @@ what the wire does:
   fast collectors push — the bound lives in the protocol, not in
   unbounded OS socket buffers.  Records arriving beyond the advertised
   window are dropped *unacknowledged* (``credit_overruns``): the sender
-  re-sends them later, so the bound is hard and lossless.
+  re-sends them later, so the bound is hard and lossless.  The ACK
+  answering such a frame names the first dropped sequence
+  (``resend``), which is the sender's cue to send it again.  ACKs are
+  snapshotted and sent under their connection's send lock, so a
+  connection receives them in snapshot order and never applies an
+  older, larger credit after a newer one.
 * **dead-peer detection** — every frame refreshes the owning
   connection's ``last_seen``; a stream whose peer has been silent past
   ``heartbeat_timeout_s`` reports as *dead* in
@@ -156,7 +161,10 @@ class _Connection:
     def __init__(self, sock: socket.socket, peer: str) -> None:
         self.sock = sock
         self.peer = peer
-        self.send_lock = threading.Lock()
+        #: Held across an ACK's state snapshot and its send (see
+        #: :meth:`SocketIngestServer._send_state`); re-entrant so a HELLO
+        #: can claim its streams and send the WELCOME under one hold.
+        self.send_lock = threading.RLock()
         self.last_seen = time.monotonic()
         self.streams: List[str] = []
         self.alive = True
@@ -302,6 +310,31 @@ class SocketIngestServer:
             "eos": {n: self._streams[n].eos_seq is not None for n in names},
         }
 
+    def _send_state(
+        self,
+        conn: _Connection,
+        names: Sequence[str],
+        frame_type: int = FRAME_ACK,
+        resend: Optional[Dict[str, int]] = None,
+    ) -> None:
+        """Send ``conn`` a fresh snapshot of ``names``' acked/credit state.
+
+        Snapshot and send both happen under the connection's send lock:
+        the reader thread (answering DATA) and ``SocketTransport.pull``
+        (refreshing credit) both send ACKs, and without the lock one's
+        older snapshot could overtake the other's newer one on the wire,
+        leaving the sender with a stale, too-generous credit.
+        """
+        with conn.send_lock:
+            with self._lock:
+                payload = self._ack_payload(names)
+            if resend:
+                payload["resend"] = resend
+            sent = conn.send_frame(encode_frame(frame_type, payload))
+        if sent:
+            with self._lock:
+                self.stats.acks_sent += 1
+
     def _handle_frame(self, conn: _Connection, frame: Frame) -> None:
         conn.last_seen = time.monotonic()
         with self._lock:
@@ -316,12 +349,8 @@ class SocketIngestServer:
             with self._lock:
                 self.stats.heartbeats += 1
                 names = list(conn.streams)
-                payload = self._ack_payload(names) if names else None
-            if payload is not None and conn.send_frame(
-                encode_frame(FRAME_ACK, payload)
-            ):
-                with self._lock:
-                    self.stats.acks_sent += 1
+            if names:
+                self._send_state(conn, names)
         # WELCOME/ACK arriving at the server are protocol violations, but
         # harmless ones; they are counted as frames and ignored.
 
@@ -336,19 +365,20 @@ class SocketIngestServer:
             # accepted) by dropping the connection.
             conn.close()
             return
-        with self._lock:
-            conn.streams = list(names)
-            for name in names:
-                state = self._streams[name]
-                # A new HELLO takes ownership: the old connection, if
-                # any, is a zombie of a reconnect (the sender gave up on
-                # it); its late frames will be deduped anyway.
-                state.owner = conn
-                state.connects += 1
-            payload_out = self._ack_payload(conn.streams)
-        if conn.send_frame(encode_frame(FRAME_WELCOME, payload_out)):
+        # Claim and WELCOME under one send-lock hold: once this
+        # connection owns the streams, pull may send it credit refreshes,
+        # and none may reach the sender before its WELCOME.
+        with conn.send_lock:
             with self._lock:
-                self.stats.acks_sent += 1
+                conn.streams = list(names)
+                for name in names:
+                    state = self._streams[name]
+                    # A new HELLO takes ownership: the old connection, if
+                    # any, is a zombie of a reconnect (the sender gave up
+                    # on it); its late frames will be deduped anyway.
+                    state.owner = conn
+                    state.connects += 1
+            self._send_state(conn, conn.streams, FRAME_WELCOME)
 
     def _handle_data(self, conn: _Connection, payload: dict) -> None:
         stream, records = records_from_payload(payload)
@@ -360,14 +390,17 @@ class SocketIngestServer:
             self.stats.data_frames += 1
             self.stats.records_received += len(records)
             delivered_any = False
+            first_overrun: Optional[int] = None
             for record in records:
                 if record.seq < state.next_seq or record.seq in state.reorder:
                     self.stats.duplicates += 1
                     continue
                 if state.held >= state.capacity:
                     # Beyond the credit window this sender was told
-                    # about: drop unacked, it will be resent.
+                    # about: drop unacked; the ACK asks for a resend.
                     self.stats.credit_overruns += 1
+                    if first_overrun is None:
+                        first_overrun = record.seq
                     continue
                 if record.seq == state.next_seq:
                     state.delivered.append(record)
@@ -382,12 +415,13 @@ class SocketIngestServer:
                 else:
                     self.stats.reordered += 1
                     state.reorder[record.seq] = record
-            ack = self._ack_payload([stream])
             if delivered_any:
                 self._data_ready.notify_all()
-        if conn.send_frame(encode_frame(FRAME_ACK, ack)):
-            with self._lock:
-                self.stats.acks_sent += 1
+        self._send_state(
+            conn,
+            [stream],
+            resend=None if first_overrun is None else {stream: first_overrun},
+        )
 
     def _handle_eos(self, conn: _Connection, payload: dict) -> None:
         stream = payload.get("s")
@@ -517,16 +551,11 @@ class SocketTransport:
             while state.delivered and len(batch) < max_n:
                 batch.append(state.delivered.popleft())
             owner = state.owner if batch else None
-            credit_refresh = (
-                server._ack_payload([stream]) if owner is not None else None
-            )
-        if owner is not None and credit_refresh is not None:
+        if owner is not None:
             # Freed room is new credit: tell the sender promptly instead
             # of making it wait for its next DATA's ack (best effort —
             # a vanished peer just resyncs credit on reconnect).
-            if owner.send_frame(encode_frame(FRAME_ACK, credit_refresh)):
-                with server._lock:
-                    server.stats.acks_sent += 1
+            server._send_state(owner, [stream])
         return batch
 
     def at_eos(self, stream: str) -> bool:

@@ -2,7 +2,7 @@
 
 Supervises :class:`~repro.core.streaming.StreamingDiagnosis` chunk by
 chunk with a journal + checkpoint commit protocol (SIGKILL-safe at every
-point), watchdogged parallel diagnosis with retry/backoff, explicit load
+point), watchdogged pooled diagnosis with retry/backoff, explicit load
 shedding, and a deterministic chaos harness for proving all of it.
 Sources are pluggable: a fixed trace replays offline, a live
 :class:`LiveTraceSource` diagnoses chunks as :mod:`repro.ingest` seals

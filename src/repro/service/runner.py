@@ -96,18 +96,9 @@ class ServiceConfig:
     #: size stays flat no matter how long the run (0 = snapshot never;
     #: restores then replay the whole journal to rebuild the tally).
     tally_compact_every: int = 8
-    #: Per-chunk diagnosis parallelism: None = serial, an int = that many
-    #: worker processes, "auto" = serial below the engine's victim-count
-    #: threshold, parallel above it (decision counted in cache_stats).
-    workers: Union[int, str, None] = None
-    #: How many pipelines share the host (fleet fan-out): divides the CPU
-    #: budget the ``workers="auto"`` resolver hands each pipeline, so N
-    #: concurrent services don't oversubscribe the machine N-fold.  Pure
-    #: parallelism hint — never affects results, so it stays out of the
-    #: fingerprint (like ``workers`` itself).
-    concurrent_pipelines: int = 1
-    #: Watchdog deadline per parallel shard; a wedged worker is killed and
-    #: its victims retried serially (surfaced as ``worker_timeouts``).
+    #: Watchdog deadline per pooled chunk task (fleet mode); a wedged
+    #: worker is killed and its victims retried serially (surfaced as
+    #: ``worker_timeouts``).
     task_timeout_s: Optional[float] = None
     #: Load-shedding budget: max victims diagnosed per chunk (None = all).
     max_victims_per_chunk: Optional[int] = None
@@ -198,7 +189,7 @@ class ServiceStats:
     transient_failures: int = 0
     retries: int = 0
     backoff_total_s: float = 0.0
-    #: Hung/killed parallel workers (deltas pulled from the engine).
+    #: Hung/killed pool workers (deltas pulled from the engine).
     worker_failures: int = 0
     worker_timeouts: int = 0
     #: Durability.
@@ -303,7 +294,7 @@ class DiagnosisService:
         executor=None,
         stop_check: Optional[Callable[[], bool]] = None,
         pipeline: str = "",
-        scheduler=None,
+        inflight=None,
     ) -> None:
         # A bare DiagTrace is the replay path: wrap it in the fixed
         # source so the run loop sees one TelemetrySource shape.
@@ -335,9 +326,10 @@ class DiagnosisService:
         self.sleep = sleep
         self.faults = faults
         self.flaky = flaky
-        #: Persistent worker pool shared across pipelines (fleet mode).
-        #: None means ``workers=N`` opens a pool per ``diagnose_all`` call
-        #: — the service never keeps one on its own; injection is the opt-in.
+        #: Persistent worker pool shared across pipelines (fleet mode):
+        #: each chunk becomes one task on one warm worker.  None means
+        #: chunks diagnose serially in this thread — the service never
+        #: keeps a pool on its own; injection is the opt-in.
         self.executor = executor
         #: Supervisor stop order, polled at chunk boundaries only: a
         #: sibling pipeline's crash stops this one *between* committed
@@ -345,11 +337,10 @@ class DiagnosisService:
         self.stop_check = stop_check
         #: Name under the fleet supervisor (diagnostics only).
         self.pipeline = pipeline
-        #: Fleet fair scheduler: a chunk slot is acquired around each
-        #: chunk's commit protocol, bounding per-pipeline inflight chunks.
-        #: Purely a pacing mechanism — slots gate *when* a chunk runs,
-        #: never what it computes, so output stays schedule-independent.
-        self.scheduler = scheduler
+        #: Fleet in-flight chunk counter: ``inflight.chunk()`` wraps each
+        #: chunk's commit protocol.  Telemetry only — it never blocks and
+        #: never changes what a chunk computes.
+        self.inflight = inflight
         state_dir = Path(config.state_dir)
         self.checkpointer = Checkpointer(
             state_dir / "checkpoints",
@@ -383,10 +374,8 @@ class DiagnosisService:
             StreamingConfig(chunk_ns=config.chunk_ns, margin_ns=config.margin_ns),
             victim_pct=config.victim_pct,
             victim_threshold_ns=config.victim_threshold_ns,
-            workers=config.workers,
             task_timeout_s=config.task_timeout_s,
             executor=executor,
-            concurrent_pipelines=config.concurrent_pipelines,
         )
         self.stats = ServiceStats()
         self.tally = self._make_tally()
@@ -653,14 +642,11 @@ class DiagnosisService:
         self, index: int, ingest_sheds: Tuple = (), ingest_evictions: int = 0
     ) -> None:
         self._check_stop()
-        if self.scheduler is not None:
-            self.scheduler.acquire(self.pipeline)
-            try:
-                self._process_chunk_inner(index, ingest_sheds, ingest_evictions)
-            finally:
-                self.scheduler.release(self.pipeline)
+        if self.inflight is None:
+            self._process_chunk_inner(index, ingest_sheds, ingest_evictions)
             return
-        self._process_chunk_inner(index, ingest_sheds, ingest_evictions)
+        with self.inflight.chunk():
+            self._process_chunk_inner(index, ingest_sheds, ingest_evictions)
 
     def _process_chunk_inner(
         self, index: int, ingest_sheds: Tuple = (), ingest_evictions: int = 0

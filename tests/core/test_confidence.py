@@ -21,6 +21,7 @@ from repro.core.report import ranked_entities
 from repro.core.explain import explain
 from repro.core.victims import VictimSelector
 from repro.errors import DiagnosisError
+from repro.fleet import WorkerPool
 
 
 def with_health(trace: DiagTrace, health: TelemetryHealth) -> DiagTrace:
@@ -129,7 +130,8 @@ class TestConfidenceDiscounting:
         trace = with_health(interrupt_chain_trace, health)
         victims = select_victims(trace)
         serial = MicroscopeEngine(trace).diagnose_all(victims)
-        parallel = MicroscopeEngine(trace).diagnose_all(victims, workers=2)
+        with WorkerPool(2) as pool:
+            parallel = MicroscopeEngine(trace).diagnose_all(victims, executor=pool)
         assert [d.culprits for d in serial] == [d.culprits for d in parallel]
 
 

@@ -1,12 +1,13 @@
-"""Watchdogged parallel diagnosis: hung workers are killed, not waited on.
+"""Watchdogged pooled diagnosis: hung workers are killed, not waited on.
 
-``diagnose_all(workers=N, task_timeout_s=T)`` promises that a wedged
+``diagnose_all(task_timeout_s=T, executor=pool)`` promises that a wedged
 worker process (infinite loop, deadlock) cannot hang the caller: the
-deadline fires, the pool is terminated, and every unfinished shard is
-retried serially in the parent — with the incident surfaced in
-``cache_stats.worker_timeouts``.  The hang is simulated by monkeypatching
-the worker entry point before the pool forks, so the children inherit the
-wedged function while the parent keeps the real one for serial retry.
+batch is one task, its deadline fires, its worker is killed and
+replaced, and the batch is retried serially in the caller — with the
+incident surfaced in ``cache_stats.worker_timeouts``.  The hang is
+simulated by monkeypatching the worker entry point before the pool forks,
+so the children inherit the wedged function while the parent keeps the
+real one for serial retry.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 import repro.core.diagnosis as diagnosis_mod
 from repro.core.diagnosis import MicroscopeEngine
 from repro.core.victims import VictimSelector
+from repro.fleet import WorkerPool
 from tests.core.test_streaming_fastpath import canonical_bytes
 
 
@@ -36,18 +38,6 @@ def _slow_worker(victims):  # pragma: no cover - runs in a child we kill
     return diagnosis_mod._parallel_worker_diagnose_real(victims)
 
 
-#: Shard heads (first victim of a shard) allowed to run for real by
-#: ``_selective_wedge``; forked children inherit the populated set.
-_FAST_HEADS = set()
-
-
-def _selective_wedge(victims):  # pragma: no cover - runs in children
-    if victims[0] in _FAST_HEADS:
-        return diagnosis_mod._parallel_worker_diagnose_real(victims)
-    while True:
-        time.sleep(0.2)
-
-
 class TestHungWorkerWatchdog:
     def test_timeout_kills_pool_and_retries_serially(
         self, interrupt_chain_trace, victims, monkeypatch
@@ -57,22 +47,28 @@ class TestHungWorkerWatchdog:
             diagnosis_mod, "_parallel_worker_diagnose", _wedged_worker
         )
         engine = MicroscopeEngine(interrupt_chain_trace)
-        start = time.monotonic()
-        results = engine.diagnose_all(victims, workers=2, task_timeout_s=0.5)
-        elapsed = time.monotonic() - start
+        with WorkerPool(2) as pool:  # forks after the patch: workers wedge
+            start = time.monotonic()
+            results = engine.diagnose_all(
+                victims, task_timeout_s=0.5, executor=pool
+            )
+            elapsed = time.monotonic() - start
+            assert pool.stats.timeouts == 1
+            assert pool.stats.respawns == 1
         # The whole call returns promptly: deadline + serial retry, not the
         # infinite hang the workers are stuck in.
         assert elapsed < 30.0
         assert canonical_bytes(results) == canonical_bytes(reference)
         stats = engine.cache_stats
-        assert stats.worker_timeouts >= 1
-        assert stats.worker_failures >= stats.worker_timeouts
+        assert stats.worker_timeouts == 1
+        assert stats.worker_failures == 1
 
     def test_no_timeout_configured_means_no_watchdog_counter(
         self, interrupt_chain_trace, victims
     ):
         engine = MicroscopeEngine(interrupt_chain_trace)
-        engine.diagnose_all(victims, workers=2)
+        with WorkerPool(2) as pool:
+            engine.diagnose_all(victims, executor=pool)
         assert engine.cache_stats.worker_timeouts == 0
 
     def test_generous_timeout_unaffected(
@@ -80,42 +76,19 @@ class TestHungWorkerWatchdog:
     ):
         reference = MicroscopeEngine(interrupt_chain_trace).diagnose_all(victims)
         engine = MicroscopeEngine(interrupt_chain_trace)
-        results = engine.diagnose_all(victims, workers=2, task_timeout_s=120.0)
+        with WorkerPool(2) as pool:
+            results = engine.diagnose_all(
+                victims, task_timeout_s=120.0, executor=pool
+            )
         assert canonical_bytes(results) == canonical_bytes(reference)
         assert engine.cache_stats.worker_timeouts == 0
-
-    def test_only_expired_shards_killed_finished_ones_harvested(
-        self, interrupt_chain_trace, victims, monkeypatch
-    ):
-        """The watchdog is per shard: with three shards of which two wedge,
-        both wedged shards are terminated and counted individually, while
-        the healthy shard's result is harvested instead of discarded."""
-        reference = MicroscopeEngine(interrupt_chain_trace).diagnose_all(victims)
-        monkeypatch.setattr(
-            diagnosis_mod,
-            "_parallel_worker_diagnose_real",
-            diagnosis_mod._parallel_worker_diagnose,
-            raising=False,
-        )
-        monkeypatch.setattr(
-            diagnosis_mod, "_parallel_worker_diagnose", _selective_wedge
-        )
-        _FAST_HEADS.clear()
-        _FAST_HEADS.add(victims[0])  # shard 0's head: that shard runs for real
-        engine = MicroscopeEngine(interrupt_chain_trace)
-        results = engine.diagnose_all(victims, workers=3, task_timeout_s=3.0)
-        _FAST_HEADS.clear()
-        assert canonical_bytes(results) == canonical_bytes(reference)
-        stats = engine.cache_stats
-        # One timeout per wedged shard — not one for the whole pool.
-        assert stats.worker_timeouts == 2
-        assert stats.worker_failures >= stats.worker_timeouts
 
     def test_timeout_applies_per_task_not_total(
         self, interrupt_chain_trace, victims, monkeypatch
     ):
-        """Workers that are merely slow (but within the per-task deadline)
-        complete normally — the watchdog measures per-shard progress."""
+        """A worker that is merely slow (but within the per-task deadline)
+        completes normally — the watchdog measures the task, not the
+        caller's wait."""
         monkeypatch.setattr(
             diagnosis_mod,
             "_parallel_worker_diagnose_real",
@@ -127,6 +100,9 @@ class TestHungWorkerWatchdog:
         )
         reference = MicroscopeEngine(interrupt_chain_trace).diagnose_all(victims)
         engine = MicroscopeEngine(interrupt_chain_trace)
-        results = engine.diagnose_all(victims, workers=2, task_timeout_s=60.0)
+        with WorkerPool(2) as pool:
+            results = engine.diagnose_all(
+                victims, task_timeout_s=60.0, executor=pool
+            )
         assert canonical_bytes(results) == canonical_bytes(reference)
         assert engine.cache_stats.worker_timeouts == 0

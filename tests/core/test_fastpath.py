@@ -1,10 +1,10 @@
-"""Fast-path equivalence: memoization and parallelism must never change
-diagnosis output.
+"""Fast-path equivalence: memoization and pooled dispatch must never
+change diagnosis output.
 
-The diagnosis fast path (PR: indexed hop lookups, period-level
-memoization, process-pool ``diagnose_all``) is designed to be
-result-invariant — every mode funnels through the same arithmetic, so
-culprit lists compare equal field-for-field (including float bits).
+The diagnosis fast path (indexed hop lookups, period-level memoization,
+``diagnose_all`` on a worker pool) is designed to be result-invariant —
+every mode funnels through the same arithmetic, so culprit lists compare
+equal field-for-field (including float bits).
 These tests pin that contract on the interrupt-chain scenario and a
 fan-in DAG, plus the memo counters and the ``_earliest_emit`` fallback.
 """
@@ -14,12 +14,15 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.columnar import ColumnarPathDecomposition
 from repro.core.diagnosis import MicroscopeEngine
 from repro.core.propagation import propagation_scores
 from repro.core.records import DiagTrace
 from repro.core.victims import Victim, VictimSelector
+from repro.fleet import WorkerPool
 from repro.nfv import (
     FiveTuple,
     InterruptInjector,
@@ -153,45 +156,62 @@ class TestMemoizationEquivalence:
         assert stats.hits == 0 and stats.misses == 0
 
 
+@pytest.fixture(scope="module")
+def pool():
+    with WorkerPool(2) as shared:
+        yield shared
+
+
 class TestParallelEquivalence:
+    """A batch handed to a pool is one task on one warm worker; whatever
+    the batch, the output equals the serial path's."""
+
     @pytest.mark.parametrize("case", ["chain_case", "fanin_case"])
     def test_workers_1_vs_4_identical(self, case, request):
+        # In-caller (one process) against a four-worker pool.
         trace, victims = request.getfixturevalue(case)
-        serial = MicroscopeEngine(trace).diagnose_all(victims, workers=1)
-        parallel = MicroscopeEngine(trace).diagnose_all(victims, workers=4)
+        serial = MicroscopeEngine(trace).diagnose_all(victims)
+        with WorkerPool(4) as four:
+            parallel = MicroscopeEngine(trace).diagnose_all(victims, executor=four)
+            assert four.stats.tasks == 1
         assert len(parallel) == len(victims)
         assert [d.victim for d in parallel] == [d.victim for d in serial]
         assert culprit_lists(serial) == culprit_lists(parallel)
         assert canonical_bytes(serial) == canonical_bytes(parallel)
 
-    def test_parallel_unmemoized_identical_too(self, chain_case):
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_pooled_subsets_match_serial(self, chain_case, fanin_case, pool, data):
+        case = data.draw(st.sampled_from(["chain", "fanin"]), label="case")
+        trace, victims = chain_case if case == "chain" else fanin_case
+        index = data.draw(st.integers(0, len(victims) - 1), label="index")
+        shuffled = data.draw(st.permutations(victims), label="shuffled")
+        for subset in ([], [victims[index]], list(victims), shuffled):
+            serial = MicroscopeEngine(trace).diagnose_all(subset)
+            pooled = MicroscopeEngine(trace).diagnose_all(subset, executor=pool)
+            assert [d.victim for d in pooled] == subset
+            assert canonical_bytes(pooled) == canonical_bytes(serial)
+
+    def test_parallel_unmemoized_identical_too(self, chain_case, pool):
         trace, victims = chain_case
         serial = MicroscopeEngine(trace).diagnose_all(victims)
         parallel = MicroscopeEngine(trace, memoize=False).diagnose_all(
-            victims, workers=2
+            victims, executor=pool
         )
         assert culprit_lists(serial) == culprit_lists(parallel)
 
-    def test_workers_none_zero_one_take_serial_path(self, chain_case):
+    def test_parallel_empty_and_single_victim(self, chain_case, pool):
         trace, victims = chain_case
         engine = MicroscopeEngine(trace)
-        few = victims[:3]
-        base = engine.diagnose_all(few)
-        assert culprit_lists(engine.diagnose_all(few, workers=0)) == culprit_lists(base)
-        assert culprit_lists(engine.diagnose_all(few, workers=1)) == culprit_lists(base)
-
-    def test_parallel_empty_and_single_victim(self, chain_case):
-        trace, victims = chain_case
-        engine = MicroscopeEngine(trace)
-        assert engine.diagnose_all([], workers=4) == []
-        single = engine.diagnose_all(victims[:1], workers=4)
+        assert engine.diagnose_all([], executor=pool) == []
+        single = engine.diagnose_all(victims[:1], executor=pool)
         assert culprit_lists(single) == culprit_lists(engine.diagnose_all(victims[:1]))
 
 
 class TestWorkerFailureRecovery:
     def test_broken_pool_retries_serially(self, chain_case, monkeypatch):
-        """A crashed worker must not kill the run: failed shards are
-        retried serially in the parent, output matches the serial path,
+        """A crashed worker must not kill the run: the lost batch is
+        retried serially in the caller, output matches the serial path,
         and the failure surfaces in cache_stats.worker_failures."""
         import repro.core.diagnosis as diagnosis_mod
 
@@ -205,17 +225,18 @@ class TestWorkerFailureRecovery:
         )
         trace, victims = chain_case
         engine = MicroscopeEngine(trace)
-        recovered = engine.diagnose_all(victims, workers=2)
+        with WorkerPool(2) as broken:  # forks after the patch
+            recovered = engine.diagnose_all(victims, executor=broken)
         assert engine.cache_stats.worker_failures > 0
         serial = MicroscopeEngine(trace).diagnose_all(victims)
         assert [d.victim for d in recovered] == [d.victim for d in serial]
         assert culprit_lists(recovered) == culprit_lists(serial)
         assert canonical_bytes(recovered) == canonical_bytes(serial)
 
-    def test_healthy_pool_reports_zero_failures(self, chain_case):
+    def test_healthy_pool_reports_zero_failures(self, chain_case, pool):
         trace, victims = chain_case
         engine = MicroscopeEngine(trace)
-        engine.diagnose_all(victims, workers=2)
+        engine.diagnose_all(victims, executor=pool)
         assert engine.cache_stats.worker_failures == 0
 
 

@@ -1,10 +1,10 @@
 """Layering guard: ``repro.core`` starts no processes and sits below the fleet.
 
 ``repro.fleet.WorkerPool`` is the one way out of the process.  The engine
-hands itself to a pool it is given (or imports one lazily, inside the
-``workers=N`` branch), so nothing under ``src/repro/core/`` may import
-``multiprocessing`` — except ``columnar.py``'s ``shared_memory``, the
-block format workers attach — or import ``repro.fleet`` at module load.
+hands itself to a pool a caller passes in as ``executor`` and never opens
+one, so nothing under ``src/repro/core/`` may import ``multiprocessing``
+— except ``columnar.py``'s ``shared_memory``, the block format workers
+attach — or import ``repro.fleet`` at module load.
 
 There is also one diagnosis path through it: numpy is a dependency, not a
 backend.  Nothing under ``src/repro/core/`` may read the environment or

@@ -1,14 +1,13 @@
 """Shared-memory dispatch: zero-copy traces across the process boundary.
 
-Parallel ``diagnose_all`` ships the trace once as a named shared-memory
-block; workers attach by name, so the per-task dispatch payload is a
-handle plus a victim range.  These tests pin the dispatch contract from
-DESIGN.md for the pool ``workers=N`` opens for the call: attach
-round-trips are exact, parallel output stays bit-identical, payloads stay
-tiny, and *no* ``/dev/shm`` segment or worker process survives any exit
-path — success, worker crash, or a :class:`SimulatedCrash` unwinding
-mid-dispatch (``tests/conftest.py``'s leak guard asserts it after every
-test here).
+Pooled ``diagnose_all`` ships the trace once as a named shared-memory
+block; workers attach by name, so the per-task dispatch payload is two
+block names.  These tests pin the dispatch contract from DESIGN.md for a
+pool handed in as ``executor``: attach round-trips are exact, pooled
+output stays bit-identical, payloads stay tiny, and *no* ``/dev/shm``
+segment or worker process survives any exit path — success, worker
+crash, or a :class:`SimulatedCrash` unwinding mid-dispatch
+(``tests/conftest.py``'s leak guard asserts it after every test here).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from repro.core.columnar import (
     share_victims,
     shm_available,
 )
-from repro.core.diagnosis import MicroscopeEngine, resolve_auto_workers
+from repro.core.diagnosis import MicroscopeEngine
 from repro.core.records import DiagTrace
 from repro.core.victims import VictimSelector
 from repro.fleet import WorkerPool
@@ -82,10 +81,10 @@ class TestShareAttachRoundTrip:
     def test_victim_block_round_trips_slices(self, chain):
         trace, victims = chain
         cols = trace.columns()
-        shm = share_victims(victims, cols)
+        lo, hi = 3, min(17, len(victims))
+        shm = share_victims(victims[lo:hi], cols)
         try:
-            lo, hi = 3, min(17, len(victims))
-            got = attach_victims(shm.name, cols.nf_names, lo, hi)
+            got = attach_victims(shm.name, cols.nf_names)
             assert got == list(victims[lo:hi])
             # Scalars decode to plain Python types (json/pickle friendly).
             assert all(type(v.pid) is int for v in got)
@@ -117,7 +116,8 @@ class TestShmParallelDispatch:
     def test_parallel_uses_shm_and_matches_serial(self, chain):
         trace, victims = chain
         engine = MicroscopeEngine(trace)
-        parallel = engine.diagnose_all(victims, workers=2)
+        with WorkerPool(2) as pool:
+            parallel = engine.diagnose_all(victims, executor=pool)
         assert engine.last_dispatch["mode"] == "shm"
         serial = MicroscopeEngine(trace).diagnose_all(victims)
         assert canonical_bytes(parallel) == canonical_bytes(serial)
@@ -125,22 +125,23 @@ class TestShmParallelDispatch:
     def test_dispatch_payload_under_ceiling(self, chain):
         trace, victims = chain
         engine = MicroscopeEngine(trace)
-        engine.diagnose_all(victims, workers=4)
+        with WorkerPool(2) as pool:
+            engine.diagnose_all(victims, executor=pool)
         payload = engine.last_dispatch["payload_bytes_per_task"]
         assert payload is not None
         assert payload < PAYLOAD_CEILING
 
     def test_payload_independent_of_victim_count(self, chain):
-        # The point of shm dispatch: payloads are handles + ranges, so
-        # they must not scale with the victim population.
+        # The point of shm dispatch: payloads are block names, so they
+        # must not scale with the victim population.
         trace, victims = chain
         engine = MicroscopeEngine(trace)
-        engine.diagnose_all(victims[:2], workers=2)
-        small = engine.last_dispatch["payload_bytes_per_task"]
-        engine.diagnose_all(victims, workers=2)
-        # The two range integers may pickle a few bytes wider; nothing
-        # per-victim may ride along.
-        assert engine.last_dispatch["payload_bytes_per_task"] <= small + 8
+        with WorkerPool(2) as pool:
+            engine.diagnose_all(victims[:2], executor=pool)
+            small = engine.last_dispatch["payload_bytes_per_task"]
+            engine.diagnose_all(victims, executor=pool)
+        # Nothing per-victim rides along.
+        assert engine.last_dispatch["payload_bytes_per_task"] == small
 
     def test_pickled_trace_ships_one_representation(self, chain):
         # A pickled (or deep-copied) trace ships its columns once: no
@@ -156,8 +157,8 @@ class TestShmParallelDispatch:
 
 
 class TestShmCleanupOnFailure:
-    """No /dev/shm segment or worker outlives diagnose_all on any path
-    (the leak guard asserts the invariant after every test here)."""
+    """No /dev/shm segment or worker outlives the pool on any path (the
+    leak guard asserts the invariant after every test here)."""
 
     def test_cleanup_after_worker_crash(self, chain, monkeypatch):
         def exploding_init(*_args, **_kwargs):
@@ -166,65 +167,23 @@ class TestShmCleanupOnFailure:
         monkeypatch.setattr(diagnosis_mod, "_parallel_worker_init", exploding_init)
         trace, victims = chain
         engine = MicroscopeEngine(trace)
-        recovered = engine.diagnose_all(victims, workers=2)
+        with WorkerPool(2) as pool:  # forks after the patch: workers crash
+            recovered = engine.diagnose_all(victims, executor=pool)
         assert engine.cache_stats.worker_failures > 0
         assert canonical_bytes(recovered) == canonical_bytes(
             MicroscopeEngine(trace).diagnose_all(victims)
         )
 
     def test_cleanup_when_dispatch_raises_simulated_crash(self, chain, monkeypatch):
-        # A SimulatedCrash (BaseException) unwinding out of the submit
-        # loop must still unlink the victim block (diagnose's finally) and
-        # the trace segment, and reap the workers (the scoped pool's exit).
-        def crash(self, task, timeout=None):
+        # A SimulatedCrash (BaseException) unwinding out of submit must
+        # still unlink the victim block (diagnose's finally) and the trace
+        # segment, and reap the workers (the pool's exit).
+        def crash(self, task):
             raise SimulatedCrash("pre-diagnose", 0)
 
         monkeypatch.setattr(WorkerPool, "submit", crash)
         trace, victims = chain
         engine = MicroscopeEngine(trace)
         with pytest.raises(SimulatedCrash):
-            engine.diagnose_all(victims, workers=2)
-
-
-class TestAutoWorkers:
-    def test_resolver_thresholds(self):
-        assert resolve_auto_workers(0, cpus=8) is None
-        assert resolve_auto_workers(1023, cpus=8) is None
-        assert resolve_auto_workers(1024, cpus=8) == 4
-        assert resolve_auto_workers(10_000, cpus=2) == 2
-        assert resolve_auto_workers(10_000, cpus=1) is None
-        assert resolve_auto_workers(10_000, cpus=16) == 4
-
-    def test_resolver_divides_cpus_among_pipelines(self):
-        # N pipelines share the host: each auto decision sees its share,
-        # so a fleet cannot oversubscribe the machine N-fold.
-        assert resolve_auto_workers(10_000, cpus=8, concurrent_pipelines=1) == 4
-        assert resolve_auto_workers(10_000, cpus=8, concurrent_pipelines=2) == 4
-        assert resolve_auto_workers(10_000, cpus=8, concurrent_pipelines=4) == 2
-        assert resolve_auto_workers(10_000, cpus=8, concurrent_pipelines=8) is None
-        assert resolve_auto_workers(10_000, cpus=16, concurrent_pipelines=4) == 4
-
-    def test_auto_serial_decision_recorded(self, chain):
-        trace, victims = chain
-        engine = MicroscopeEngine(trace)
-        few = victims[: min(8, len(victims))]
-        auto = engine.diagnose_all(few, workers="auto")
-        assert engine.cache_stats.auto_serial_decisions + (
-            engine.cache_stats.auto_parallel_decisions
-        ) == 1
-        assert canonical_bytes(auto) == canonical_bytes(
-            MicroscopeEngine(trace).diagnose_all(few)
-        )
-
-    def test_auto_parallel_decision_recorded(self, chain, monkeypatch):
-        monkeypatch.setattr(
-            diagnosis_mod, "resolve_auto_workers", lambda n, **_kwargs: 2
-        )
-        trace, victims = chain
-        engine = MicroscopeEngine(trace)
-        auto = engine.diagnose_all(victims, workers="auto")
-        assert engine.cache_stats.auto_parallel_decisions == 1
-        assert engine.cache_stats.auto_serial_decisions == 0
-        assert canonical_bytes(auto) == canonical_bytes(
-            MicroscopeEngine(trace).diagnose_all(victims)
-        )
+            with WorkerPool(2) as pool:
+                engine.diagnose_all(victims, executor=pool)

@@ -26,6 +26,7 @@ from repro.core.diagnosis import (
 from repro.core.records import DiagTrace, PacketHop, PacketView
 from repro.core.streaming import StreamingConfig, StreamingDiagnosis
 from repro.core.victims import Victim, VictimSelector
+from repro.fleet import WorkerPool
 from repro.nfv.packet import FiveTuple
 from repro.util.timebase import MSEC, USEC
 from tests.core.test_streaming import rebuilt_chunks
@@ -93,12 +94,13 @@ class TestReuseEquivalence:
     def test_reuse_with_workers_identical(
         self, interrupt_chain_trace, batch_reference
     ):
-        streamed = StreamingDiagnosis(
-            interrupt_chain_trace,
-            StreamingConfig(chunk_ns=2 * MSEC, margin_ns=MSEC),
-            victim_pct=99.0,
-            workers=2,
-        ).run()
+        with WorkerPool(2) as pool:
+            streamed = StreamingDiagnosis(
+                interrupt_chain_trace,
+                StreamingConfig(chunk_ns=2 * MSEC, margin_ns=MSEC),
+                victim_pct=99.0,
+                executor=pool,
+            ).run()
         assert canonical_bytes(streamed) == canonical_bytes(batch_reference)
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])

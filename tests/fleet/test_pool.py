@@ -1,11 +1,11 @@
 """WorkerPool: warm workers, registered traces, failure containment.
 
-Pins the fleet execution plane's contracts: pooled dispatch is
-bit-identical to serial, workers and trace segments are reused across
-calls (that is the optimization), dead or wedged workers are replaced
-without losing sibling shards, and no worker process or ``/dev/shm``
-segment survives ``close()`` — on any unwind path, ``SimulatedCrash``
-included (the issue's re-pin of the BaseException-safe unlink).
+Pins the fleet execution plane's contracts: a batch is one task on one
+worker and comes back bit-identical to serial, workers and trace segments
+are reused across calls (that is the optimization), dead or wedged
+workers are replaced and their batch diagnosed serially, and no worker
+process or ``/dev/shm`` segment survives ``close()`` — on any unwind
+path, ``SimulatedCrash`` included.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ pytestmark = pytest.mark.skipif(
 )
 
 #: A well-formed task no worker will ever run (the pool under test is
-#: saturated or closed): an empty victim range of a segment that need not
-#: exist.
-NOOP_TASK = ("shm", "psm_none", "psm_none", 0, 0, ())
+#: closed): segments that need not exist.
+NOOP_TASK = ("shm", "psm_none", "psm_none", ())
 
 
 class TestPooledDispatch:
@@ -41,17 +40,28 @@ class TestPooledDispatch:
         serial = MicroscopeEngine(trace).diagnose_all(victims)
         with WorkerPool(2) as pool:
             engine = MicroscopeEngine(trace)
-            pooled = engine.diagnose_all(victims, workers=2, executor=pool)
+            pooled = engine.diagnose_all(victims, executor=pool)
             assert engine.last_dispatch["mode"] == "shm"
+            # The whole batch is one task on one worker.
+            assert pool.stats.tasks == 1
         assert canonical_bytes(pooled) == canonical_bytes(serial)
+
+    def test_empty_batch_submits_nothing(self, chain):
+        trace, _victims = chain
+        with WorkerPool(1) as pool:
+            engine = MicroscopeEngine(trace)
+            assert pool.diagnose(engine, []) == []
+            assert engine.diagnose_all([], executor=pool) == []
+            assert pool.stats.tasks == 0
+            assert pool.stats.trace_shares == 0
 
     def test_workers_stay_warm_across_calls(self, chain):
         trace, victims = chain
         with WorkerPool(2) as pool:
             pids_before = sorted(w.proc.pid for w in pool._workers)
             engine = MicroscopeEngine(trace)
-            first = engine.diagnose_all(victims, workers=2, executor=pool)
-            second = engine.diagnose_all(victims, workers=2, executor=pool)
+            first = engine.diagnose_all(victims, executor=pool)
+            second = engine.diagnose_all(victims, executor=pool)
             pids_after = sorted(w.proc.pid for w in pool._workers)
             # Same processes served both calls: nothing was spawned.
             assert pids_after == pids_before
@@ -61,38 +71,13 @@ class TestPooledDispatch:
             assert pool.stats.trace_reuses >= 1
         assert canonical_bytes(first) == canonical_bytes(second)
 
-    def test_shards_clamped_to_pool_size(self, chain):
-        trace, victims = chain
-        with WorkerPool(1) as pool:
-            engine = MicroscopeEngine(trace)
-            # More shards than workers would deadlock submit against its
-            # own unharvested results; the engine must clamp.
-            pooled = engine.diagnose_all(victims, workers=4, executor=pool)
-        assert canonical_bytes(pooled) == canonical_bytes(
-            MicroscopeEngine(trace).diagnose_all(victims)
-        )
-
-    def test_auto_serial_still_runs_in_pool_under_executor(self, chain):
-        trace, victims = chain
-        with WorkerPool(1) as pool:
-            engine = MicroscopeEngine(trace)
-            pooled = engine.diagnose_all(victims, workers="auto", executor=pool)
-            # "auto" on this 1-CPU-share host resolves serial, but with a
-            # pool the chunk still computes out-of-process (one shard).
-            assert pool.stats.tasks == 1
-            assert engine.cache_stats.auto_parallel_decisions == 1
-        assert canonical_bytes(pooled) == canonical_bytes(
-            MicroscopeEngine(trace).diagnose_all(victims)
-        )
-
 
 class TestCrossPipelineDispatch:
     def test_concurrent_multi_shard_pipelines_no_deadlock(self, chain):
-        """Regression: three pipelines each dispatching two shards over a
-        two-worker pool used to hold-and-wait forever — every thread
-        parked in a blocking ``submit`` while pinning a worker its
-        siblings needed.  Dispatch must complete, and every pipeline's
-        output must stay bit-identical to serial."""
+        """Three pipelines sharing a one-worker pool: each call holds no
+        worker while it waits for one, so dispatch cannot hold-and-wait
+        into a standstill, and every pipeline's output stays
+        bit-identical to serial."""
         trace, victims = chain
         serial = MicroscopeEngine(trace).diagnose_all(victims)
         results: dict = {}
@@ -101,13 +86,11 @@ class TestCrossPipelineDispatch:
         def run_pipeline(i: int, pool: WorkerPool) -> None:
             try:
                 engine = MicroscopeEngine(trace)
-                results[i] = engine.diagnose_all(
-                    victims, workers=2, executor=pool
-                )
+                results[i] = engine.diagnose_all(victims, executor=pool)
             except BaseException as exc:  # pragma: no cover - fail loudly
                 errors.append(exc)
 
-        with WorkerPool(2) as pool:
+        with WorkerPool(1) as pool:
             threads = [
                 threading.Thread(
                     target=run_pipeline, args=(i, pool), daemon=True
@@ -121,26 +104,46 @@ class TestCrossPipelineDispatch:
             assert not any(
                 t.is_alive() for t in threads
             ), "cross-pipeline pooled dispatch deadlocked"
+            assert pool.stats.tasks == 3
         assert not errors
         for i in range(3):
             assert canonical_bytes(results[i]) == canonical_bytes(serial)
 
-    def test_submit_timeout_returns_none_when_saturated(self, chain):
+    def test_checkout_wait_is_counted(self, chain):
+        """A call that finds every worker busy blocks in FIFO checkout and
+        is counted in ``checkout_waits``, then runs once one frees up."""
+        trace, victims = chain
+        results: list = []
         with WorkerPool(1) as pool:
-            worker = pool._free.get()
-            try:
-                assert pool.submit(NOOP_TASK, timeout=0) is None
-                assert pool.submit(NOOP_TASK, timeout=0.05) is None
-            finally:
-                pool._free.put(worker)
+            held = pool._free.get()  # a sibling pipeline's task
+            engine = MicroscopeEngine(trace)
+            thread = threading.Thread(
+                target=lambda: results.append(
+                    engine.diagnose_all(victims, executor=pool)
+                ),
+                daemon=True,
+            )
+            thread.start()
+            deadline = time.monotonic() + 60.0
+            while pool.stats.checkout_waits == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool.stats.checkout_waits == 1
+            assert not results
+            pool._free.put(held)
+            thread.join(timeout=120.0)
+            assert not thread.is_alive()
+            assert pool.stats.tasks == 1
+        assert canonical_bytes(results[0]) == canonical_bytes(
+            MicroscopeEngine(trace).diagnose_all(victims)
+        )
 
 
 class TestShareFailure:
     def test_unshareable_victims_run_serially_in_thread(self, chain, monkeypatch):
         """``/dev/shm`` exhausted mid-call: with no victim block there is
-        nothing to hand a worker, so every shard takes the in-thread
-        serial path lost shards take — same bytes, nothing submitted,
-        nothing leaked (the leak guard checks segments and children)."""
+        nothing to hand a worker, so the batch takes the in-thread serial
+        path a lost task takes — same bytes, nothing submitted, nothing
+        leaked (the leak guard checks segments and children)."""
         trace, victims = chain
 
         def exhausted(_victims, _cols):
@@ -149,7 +152,7 @@ class TestShareFailure:
         monkeypatch.setattr(columnar, "share_victims", exhausted)
         with WorkerPool(2) as pool:
             engine = MicroscopeEngine(trace)
-            result = engine.diagnose_all(victims, workers=2, executor=pool)
+            result = engine.diagnose_all(victims, executor=pool)
             assert engine.last_dispatch["mode"] == "serial"
             assert engine.last_dispatch["payload_bytes_per_task"] is None
             assert pool.stats.tasks == 0
@@ -200,7 +203,7 @@ class TestTraceRegistry:
             assert name2 != name1
             assert name1.lstrip("/") in shm_segments()
             assert pool.stats.trace_shares == 2
-            pool._decref_segment(name1)  # last referencing shard harvested
+            pool._decref_segment(name1)  # last referencing task harvested
             assert name1.lstrip("/") not in shm_segments()
             assert pool.stats.trace_shares == 2
 
@@ -244,7 +247,7 @@ class TestFailureContainment:
         # The pool forks AFTER the patch, so workers inherit the crash.
         with WorkerPool(1) as pool:
             engine = MicroscopeEngine(trace)
-            result = engine.diagnose_all(victims, workers=1, executor=pool)
+            result = engine.diagnose_all(victims, executor=pool)
             assert engine.cache_stats.worker_failures >= 1
             assert pool.stats.failures >= 1
             assert pool.stats.respawns >= 1
@@ -264,7 +267,7 @@ class TestFailureContainment:
             engine = MicroscopeEngine(trace)
             start = time.monotonic()
             result = engine.diagnose_all(
-                victims, workers=1, task_timeout_s=0.5, executor=pool
+                victims, task_timeout_s=0.5, executor=pool
             )
             assert time.monotonic() - start < 60.0
             assert engine.cache_stats.worker_timeouts == 1
@@ -283,7 +286,7 @@ class TestFailureContainment:
         monkeypatch.setattr(diagnosis_mod, "_parallel_worker_diagnose", explode)
         with WorkerPool(1) as pool:
             engine = MicroscopeEngine(trace)
-            result = engine.diagnose_all(victims, workers=1, executor=pool)
+            result = engine.diagnose_all(victims, executor=pool)
             assert engine.cache_stats.worker_failures >= 1
             # An in-worker exception is answered, not fatal: same worker.
             assert pool.stats.respawns == 0
@@ -297,7 +300,7 @@ class TestCleanupContract:
         trace, victims = chain
         pool = WorkerPool(2)
         engine = MicroscopeEngine(trace)
-        engine.diagnose_all(victims, workers=2, executor=pool)
+        engine.diagnose_all(victims, executor=pool)
         procs = [w.proc for w in pool._workers]
         pool.close()
         pool.close()
@@ -308,7 +311,7 @@ class TestCleanupContract:
     def test_simulated_crash_mid_dispatch_leaves_no_segments(
         self, chain, monkeypatch
     ):
-        """The issue's re-pin: a BaseException unwinding between share and
+        """A BaseException unwinding between share and
         harvest must not leak the per-call victim block, and the pool's
         registered trace segment must die with ``close()``."""
         trace, victims = chain
@@ -321,7 +324,7 @@ class TestCleanupContract:
 
             monkeypatch.setattr(pool, "submit", crash)
             with pytest.raises(SimulatedCrash):
-                engine.diagnose_all(victims, workers=1, executor=pool)
+                engine.diagnose_all(victims, executor=pool)
             # The victim block is already gone; only the registered trace
             # segment remains, owned by the still-open pool.
             assert len(shm_segments()) == 1

@@ -11,6 +11,7 @@ import pytest
 from repro.core.streaming import StreamingConfig, StreamingDiagnosis
 from repro.core.victims import Victim
 from repro.errors import CheckpointError, ServiceError
+from repro.fleet import WorkerPool
 from repro.service import (
     DiagnosisService,
     FlakyPlan,
@@ -80,9 +81,12 @@ class TestCleanRun:
     def test_parallel_workers_identical(
         self, tmp_path, interrupt_chain_trace, streaming_reference
     ):
-        report = DiagnosisService(
-            interrupt_chain_trace, config(tmp_path, workers=2, task_timeout_s=60.0)
-        ).run()
+        with WorkerPool(2) as pool:
+            report = DiagnosisService(
+                interrupt_chain_trace,
+                config(tmp_path, task_timeout_s=60.0),
+                executor=pool,
+            ).run()
         assert canonical_bytes(report.diagnoses) == canonical_bytes(
             streaming_reference
         )
