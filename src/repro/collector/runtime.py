@@ -17,14 +17,17 @@ The hook appends one :class:`BatchRecord` per burst.  A stream decoded
 from a dump is a :class:`BatchStream` instead: the same batches stored as
 columns (per-batch ``times`` and ``sizes``, one flat ``ipids`` list), which
 reads as a ``Sequence[BatchRecord]`` and hands the reconstructor its
-per-packet ``(times, ipids)`` without building a record per batch.
+per-packet ``(times, ipids)`` int64 arrays without building a record per
+batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.nfv.packet import FiveTuple, Packet
 
@@ -74,11 +77,16 @@ class BatchStream(Sequence[BatchRecord]):
             ipids.extend(batch.ipids)
         return cls(times, sizes, ipids)
 
+    def packet_arrays(self, delay: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-packet ``(times, ipids)`` as int64 arrays: each IPID at its
+        batch's time plus ``delay``."""
+        times = np.repeat(np.asarray(self.times, dtype=np.int64) + delay, self.sizes)
+        return times, np.asarray(self.ipids, dtype=np.int64)
+
     def packets(self, delay: int = 0) -> Tuple[List[int], List[int]]:
-        """Per-packet ``(times, ipids)``: each IPID at its batch's time plus
-        ``delay``."""
-        times = self.times if not delay else [t + delay for t in self.times]
-        return list(chain.from_iterable(map(repeat, times, self.sizes))), self.ipids
+        """:meth:`packet_arrays` as int lists."""
+        times, ipids = self.packet_arrays(delay)
+        return times.tolist(), ipids.tolist()
 
     def sorted_by_time(self) -> "BatchStream":
         """The batches stably sorted by time (each keeps its IPIDs)."""

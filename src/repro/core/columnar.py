@@ -192,6 +192,22 @@ def flatten(packets: Sequence[object], hop_lists: Sequence[Sequence[object]],
     return pkt, hop_counts, hop
 
 
+_FIVE_TUPLE = attrgetter("src_ip", "dst_ip", "src_port", "dst_port", "proto")
+
+
+def flow_rows(flows: Sequence[object]):
+    """``(n, 5)`` int64 five-tuple rows of ``flows``, each distinct flow
+    object's fields read once."""
+    distinct = {id(flow): flow for flow in flows}
+    code = {key: row for row, key in enumerate(distinct)}
+    table = np.fromiter(
+        itertools.chain.from_iterable(map(_FIVE_TUPLE, distinct.values())),
+        np.int64,
+        count=5 * len(distinct),
+    ).reshape(len(distinct), 5)
+    return table[np.fromiter(map(code.__getitem__, map(id, flows)), np.int64, count=len(flows))]
+
+
 def hop_starts(hop_counts):
     """CSR offsets (length n+1) from per-packet hop counts."""
     hop_start = np.zeros(len(hop_counts) + 1, dtype=np.int64)

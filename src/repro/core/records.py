@@ -31,6 +31,7 @@ from repro.core.columnar import (
     TraceColumns,
     columns_of_journeys,
     flatten,
+    flow_rows,
     hop_starts,
     times_pids,
 )
@@ -480,33 +481,54 @@ class DiagTrace:
         whose chains broke during reconstruction are simply absent — the
         diagnosis degrades gracefully, which the ablation bench quantifies.
 
-        ``tolerant=True`` skips hops at unknown NFs (corrupted telemetry
-        can invent them) instead of raising, and ``health`` — the
-        reconstructor's :class:`TelemetryHealth` — is attached as
-        ``trace.telemetry`` so diagnosis can discount confidence.
+        ``reconstructed`` is the reconstructor's
+        :class:`~repro.collector.reconstruct.ReconstructedPackets`, whose
+        columns are adopted as they are, or any sequence of packet-shaped
+        objects, flattened once.  ``tolerant=True`` skips hops at unknown
+        NFs (corrupted telemetry can invent them) instead of raising, and
+        ``health`` — the reconstructor's :class:`TelemetryHealth` — is
+        attached as ``trace.telemetry`` so diagnosis can discount
+        confidence.
         """
-        packets = list(reconstructed)
-        hop_lists = [packet.hops for packet in packets]
+        # The collector builds on the core; import its view at call time.
+        from repro.collector.reconstruct import ReconstructedPackets
 
-        def flattened():
-            nf_code = CodeTable(sorted(peak_rates))
-            source_code = CodeTable(sorted(sources))
-            return nf_code, source_code, flatten(
-                packets, hop_lists, nf_code, source_code,
-                pids=range(len(packets)), drops=False,
-            )
-
-        nf_code, source_code, (pkt, hop_counts, hop) = flattened()
-        if len(nf_code.names) > len(peak_rates):  # some hop names no NF
+        packets = ReconstructedPackets.of(reconstructed)
+        n = len(packets)
+        nf_code = CodeTable(sorted(peak_rates))
+        to_trace = np.array([nf_code.get(name, -1) for name in packets.nf_names], np.int32)
+        hop_nf = to_trace[packets.hop_nf]
+        hop_counts = np.diff(packets.hop_start)
+        hop_times = (packets.hop_arrival, packets.hop_read, packets.hop_depart)
+        unknown = hop_nf < 0
+        if unknown.any():
             if not tolerant:
-                unknown = next(
-                    h.nf for hops in hop_lists for h in hops if h.nf not in peak_rates
-                )
-                raise TraceError(f"reconstructed hop at unknown NF {unknown!r}")
-            hop_lists = [
-                [h for h in hops if h.nf in peak_rates] for hops in hop_lists
-            ]
-            nf_code, source_code, (pkt, hop_counts, hop) = flattened()
+                name = packets.nf_names[packets.hop_nf[np.argmax(unknown)]]
+                raise TraceError(f"reconstructed hop at unknown NF {name!r}")
+            known = ~unknown
+            hop_counts = np.bincount(
+                np.repeat(np.arange(n), hop_counts)[known], minlength=n
+            ).astype(np.int64)
+            hop_nf = hop_nf[known]
+            hop_times = tuple(times[known] for times in hop_times)
+        source_code = CodeTable(sorted(sources))
+        # Sources outside ``sources`` take the next codes in packet order.
+        _codes, first = np.unique(packets.source, return_index=True)
+        for code in packets.source[np.sort(first)].tolist():
+            source_code[packets.source_names[code]]
+        to_source = np.array(
+            [source_code.get(name, -1) for name in packets.source_names], np.int32
+        )
+        pkt = {
+            "pkt_pid": np.arange(n, dtype=np.int64),
+            "pkt_emitted": packets.emitted,
+            "pkt_exited": packets.exited,
+            "pkt_dropped_ns": np.full(n, -1, np.int64),
+            "pkt_dropped_nf": np.full(n, -1, np.int32),
+            "pkt_source": to_source[packets.source],
+            "pkt_flow": flow_rows(packets.flows),
+        }
+        hop = dict(zip(("hop_arrival", "hop_read", "hop_depart"), hop_times), hop_nf=hop_nf)
         return cls.from_columns(
             columns_of_journeys(nf_code, source_code, peak_rates, pkt, hop_counts, hop),
             list(peak_rates),

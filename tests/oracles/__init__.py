@@ -2,7 +2,8 @@
 
 ``repro.core`` has one diagnosis path: numpy index, columnar trace; a
 trace is stored as columns only; the live merge has one clocked drain;
-reconstruction matches through an index and AutoFocus runs on int codes;
+reconstruction verifies matchings in blocks and walks chains into
+columns, and AutoFocus runs on int codes;
 a dump decodes into batch columns and flows are counted over int codes.
 The straightforward code the production paths were optimised from lives
 here, moved without algorithmic edits, so tests can assert equality
@@ -23,7 +24,9 @@ against it:
   tuple-loop ``flow_counts`` (``counting_through`` swaps it in),
 * :mod:`tests.oracles.reconstruct` — the scan candidate lookup of the
   reconstruction matcher (``ScanStreamMatcher``; ``matching_through``
-  swaps it into ``TraceReconstructor``),
+  swaps it into ``TraceReconstructor``) and the object chaining, one exit
+  record and one hop object at a time (``exit_loop_reference`` /
+  ``chain_back_reference``; ``chaining_through`` swaps them in),
 * :mod:`tests.oracles.autofocus` — the node-object passes of
   ``MultiAutoFocus.run`` (``OracleMultiAutoFocus``;
   ``aggregating_through`` swaps it into ``PatternAggregator``),

@@ -1,4 +1,5 @@
-"""Scan matcher: the reference for ``collector.reconstruct._StreamMatcher``.
+"""Scan matcher and object chaining: the references for
+``collector.reconstruct``'s ``_StreamMatcher`` and chain walk.
 
 What the reconstruction matcher was before streams became parallel
 ``times`` / ``ipids`` lists with a per-stream ``ipid -> positions`` index:
@@ -10,16 +11,32 @@ makes every ``TraceReconstructor`` inside the block match with it.  The
 production matcher must return the same ``assignment``,
 ``stats_ambiguous`` and ``stats_unmatched`` for every input
 (``tests/collector/test_matcher_parity.py``).
+
+What chaining was before the matchings became int arrays and chains were
+walked into columns: a per-record exit loop that calls ``_chain_back``
+once per exit record, which builds one :class:`ReconstructedHop` per hop
+and one :class:`ReconstructedPacket` per chain from ``tx -> rx`` dicts.
+Both are moved here unedited (:func:`exit_loop_reference`,
+:func:`chain_back_reference`); :func:`chaining_through` makes every
+``TraceReconstructor`` inside the block chain with them.  The production
+walk must give equal packets, stats, health and trace columns
+(``tests/collector/test_chain_parity.py``).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from bisect import bisect_left
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from unittest import mock
 
 from repro.collector import reconstruct as reconstruct_mod
+from repro.collector.reconstruct import (
+    ReconstructedHop,
+    ReconstructedPacket,
+    TraceReconstructor,
+)
 
 
 @dataclass(frozen=True)
@@ -167,4 +184,117 @@ def matching_through(matcher_class=OracleStreamMatcher) -> Iterator[None]:
     """Inside the block every ``TraceReconstructor`` matches its queues and
     demuxes with ``matcher_class``."""
     with mock.patch.object(reconstruct_mod, "_StreamMatcher", matcher_class):
+        yield
+
+
+def exit_loop_reference(self) -> List[ReconstructedPacket]:
+    """``TraceReconstructor._chain``: align each exit record, chain it
+    back, record health."""
+    packets: List[ReconstructedPacket] = []
+    exit_cursor: Dict[str, int] = {}
+    exit_positions = {nf: self._exit_positions(nf) for nf in self._tx_items}
+    for record in self.data.exits:
+        nf = record.last_nf
+        cursor = exit_cursor.get(nf, 0)
+        # An exit record and its exit-stream item are written from the
+        # same TX batch: align on (time, ipid), never on position, so a
+        # lost record or item breaks chains instead of shifting every
+        # later packet onto its neighbour's flow.
+        positions = exit_positions.get(nf, {}).get(
+            (record.time_ns, record.ipid), ()
+        )
+        k = bisect_left(positions, cursor)
+        if k == len(positions):
+            self.stats.chains_broken += 1
+            self._note_break(nf, record.time_ns)
+            continue
+        tx_index = positions[k]
+        exit_times = self._tx_items[nf][""][0]
+        for skipped in range(cursor, tx_index):
+            # An exit item whose record was lost: its chain is broken.
+            self.stats.chains_broken += 1
+            self._note_break(nf, exit_times[skipped])
+        exit_cursor[nf] = tx_index + 1
+        packet = self._chain_back(nf, tx_index, record.flow, record.time_ns)
+        if packet is not None:
+            packets.append(packet)
+            self.stats.chains_built += 1
+        else:
+            self.stats.chains_broken += 1
+    self._record_health(packets)
+    return packets
+
+
+def chain_back_reference(
+    self, last_nf: str, exit_tx_index: int, flow: object, exit_ns: int
+) -> Optional[ReconstructedPacket]:
+    hops_reversed: List[ReconstructedHop] = []
+    nf = last_nf
+    tx_stream_key = ""  # exit stream at the last NF
+    tx_index = exit_tx_index
+    # Guard against pathological match cycles; real chains are short.
+    for _ in range(64):
+        back = self._tx_back.get(nf, {}).get(tx_stream_key, {})
+        rx_index = back.get(tx_index)
+        if rx_index is None:
+            self._note_break(nf, exit_ns)
+            return None
+        queue_match = self._queue_match[nf][rx_index]
+        if queue_match is None:
+            self._note_break(nf, exit_ns)
+            return None
+        writer, writer_index = queue_match
+        arrival = self._writer_items[nf][writer][0][writer_index]
+        tx_times = self._tx_items[nf].get(tx_stream_key, ([], []))[0]
+        depart = tx_times[tx_index] if tx_index < len(tx_times) else -1
+        hops_reversed.append(
+            ReconstructedHop(
+                nf=nf,
+                arrival_ns=arrival,
+                read_ns=self._rx_items[nf][0][rx_index],
+                depart_ns=depart,
+            )
+        )
+        if writer in self.data.sources:
+            emitted = arrival - self._edge_delay[(writer, nf)]
+            return ReconstructedPacket(
+                flow=flow,
+                source=writer,
+                emitted_ns=emitted,
+                hops=list(reversed(hops_reversed)),
+                exited_ns=exit_ns,
+            )
+        # The writer item is the writer's TX record on the edge
+        # writer -> nf; step back into the writer NF.
+        tx_stream_key = nf
+        tx_index = writer_index
+        nf = writer
+    self._note_break(nf, exit_ns)
+    return None
+
+
+def chain_reference(self) -> List[ReconstructedPacket]:
+    """The object chaining over the production matchings: first the
+    per-stream ``tx -> rx`` dicts ``_match_demux`` kept for
+    ``_chain_back``, then the per-record exit loop."""
+    self._tx_back = {}
+    for nf, assignment in self._demux_match.items():
+        back: Dict[str, Dict[int, int]] = {key: {} for key in self._tx_items[nf]}
+        for rx_index, match in enumerate(assignment):
+            if match is not None:
+                next_node, tx_index = match
+                back[next_node][tx_index] = rx_index
+        self._tx_back[nf] = back
+    return exit_loop_reference(self)
+
+
+@contextmanager
+def chaining_through() -> Iterator[None]:
+    """Inside the block every ``TraceReconstructor`` chains exit records
+    into packet objects one record and one hop at a time."""
+    with mock.patch.object(
+        TraceReconstructor, "_chain", chain_reference
+    ), mock.patch.object(
+        TraceReconstructor, "_chain_back", chain_back_reference, create=True
+    ):
         yield
