@@ -4,7 +4,6 @@ from repro.collector.chaos import (
     ChaosConfig,
     ChaosReport,
     ChaosResult,
-    chaos_from_env,
     inject_chaos,
 )
 from repro.collector.clock import (
@@ -60,7 +59,6 @@ __all__ = [
     "ChaosConfig",
     "ChaosReport",
     "ChaosResult",
-    "chaos_from_env",
     "inject_chaos",
     "ClockAlignment",
     "ClockSkew",

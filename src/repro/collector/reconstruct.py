@@ -89,6 +89,15 @@ DEFAULT_MAX_WAIT_NS = 50_000_000
 #: parallel ``(times, ipids)`` int64 arrays (the matcher also takes lists).
 Stream = Tuple[np.ndarray, np.ndarray]
 
+#: Most TX items demux matching skips for one read.  Its window reaches
+#: ``max_wait_ns`` past the read, so the too-new break does not bound the
+#: search: a read whose TX record was lost (or whose packet the NF
+#: consumed) would take a same-IPID item thousands of items ahead and
+#: strand every read in between.  Queue matching has no such bound: its
+#: too-new break is the read time, so its search never leaves the queue
+#: and reaches past a queue-overflow drop run of any length.
+DEMUX_MAX_SKIP = 64
+
 #: Merged items in a matcher's first block proposal; a block accepted whole
 #: doubles the next one, up to ``_MAX_BLOCK``.
 _FIRST_BLOCK = 64
@@ -391,13 +400,14 @@ class _StreamMatcher:
     Matches a merged sequence against K ordered component streams, each a
     pair of parallel ``(times, ipids)`` int sequences.  For each merged
     item at time ``t``, stream ``s``'s candidate is :meth:`_candidates`'
-    rule: the first index ``j`` in ``[p, p + max_skip]`` (``p`` the
-    stream's pointer) whose ipid matches and whose time lies in
-    ``[t + lo, t + hi]``, with no "too new" item (time ``> t + hi``)
-    before it; items skipped over are treated as losses, ``skips = j -
-    p``.  Ties between streams are broken by (fewest skips, earliest
-    time); remaining ties use bounded lookahead over the next merged
-    items.  The window must contain its merged item (``lo <= 0 <= hi``).
+    rule: the first index ``j >= p`` (``p`` the stream's pointer, and
+    ``j <= p + max_skip`` when ``max_skip`` is given) whose ipid matches
+    and whose time lies in ``[t + lo, t + hi]``, with no "too new" item
+    (time ``> t + hi``) before it; items skipped over are treated as
+    losses, ``skips = j - p``.  Ties between streams are broken by
+    (fewest skips, earliest time); remaining ties use bounded lookahead
+    over the next merged items.  The window must contain its merged item
+    (``lo <= 0 <= hi``).
 
     :meth:`run` gives every item the greedy's pick without stepping
     through the greedy where it can: :meth:`_propose` verifies a block of
@@ -417,7 +427,7 @@ class _StreamMatcher:
         lo: int,
         hi: int,
         lookahead: int = 4,
-        max_skip: int = 64,
+        max_skip: Optional[int] = None,
     ) -> None:
         self._merged = _as_arrays(merged)
         self.lo = lo
@@ -598,13 +608,13 @@ class _StreamMatcher:
         found: List[Tuple[int, int, str, int]] = []
         low = merged_time + self.lo
         high = merged_time + self.hi
-        span = self.max_skip + 1
+        max_skip = self.max_skip
         indexes = self._indexes
         for lane, (key, times, ipids, length, ascending) in enumerate(self._lanes):
             start = pointers[key]
-            end = start + span
-            if end > length:
-                end = length
+            end = length
+            if max_skip is not None and start + max_skip + 1 < length:
+                end = start + max_skip + 1
             if not ascending:
                 idx = start
                 while idx < end:
@@ -682,6 +692,27 @@ class _StreamMatcher:
         self._lane[i] = self.keys.index(key)
         self._index[i] = idx
         self.pointers[key] = idx + 1
+
+
+def _as_columns(data: CollectedData) -> CollectedData:
+    """``data`` with every NF stream as :class:`BatchStream` columns, so a
+    pass converts each in-memory list once (a loaded dump's streams are
+    columns already and pass through)."""
+    return CollectedData(
+        nfs={
+            name: NFRecords(
+                rx=BatchStream.of(records.rx),
+                tx={
+                    peer: BatchStream.of(batches)
+                    for peer, batches in records.tx.items()
+                },
+            )
+            for name, records in data.nfs.items()
+        },
+        sources=data.sources,
+        exits=data.exits,
+        max_batch=data.max_batch,
+    )
 
 
 def _time_span(streams: Sequence[BatchStream]) -> Tuple[int, int]:
@@ -799,6 +830,7 @@ class TraceReconstructor:
             0,
             self.max_wait_ns,
             lookahead=self.lookahead,
+            max_skip=DEMUX_MAX_SKIP,
         )
         self._demux_match[nf] = Assignment.of(matcher.run(), list(tx_streams))
 
@@ -816,8 +848,7 @@ class TraceReconstructor:
         """
         sane_nfs: Dict[str, NFRecords] = {}
         for name, records in self.data.nfs.items():
-            rx = BatchStream.of(records.rx)
-            tx = {peer: BatchStream.of(batches) for peer, batches in records.tx.items()}
+            rx, tx = records.rx, records.tx  # columns (see _as_columns)
             streams = [rx, *tx.values()]
             total = sum(len(s) for s in streams)
             inversions = sum(
@@ -927,6 +958,7 @@ class TraceReconstructor:
         collected = self.data
         self._reset()
         try:
+            self.data = _as_columns(collected)
             if self.tolerant:
                 self._sanitize_streams()
             for nf in self.data.nfs:

@@ -9,12 +9,13 @@ result interchangeable with an offline trace:
   once its timestamp is below the *horizon* — the minimum watermark over
   every stream that can still deliver data — or at the horizon and
   cleared by the name-ordered tie rule (see :meth:`IncrementalTrace._drain`),
-  and applied records are sorted by ``(time_ns, stream, seq)``.  Every
-  future record on any stream carries a timestamp at or above the horizon
-  (streams are time-monotone), so the concatenation of all apply batches
-  is one globally sorted sequence no matter how the transport interleaved
-  the streams.  On clean input that sequence reproduces the offline
-  construction order exactly — packet row order, hop order, per-NF
+  and records are admitted one at a time in ``(time_ns, stream, seq)``
+  order through a heap of stream heads.  Every future record on any
+  stream carries a timestamp at or above the horizon (streams are
+  time-monotone), so the concatenation of all drains is one globally
+  sorted sequence no matter how the transport interleaved the streams.
+  On clean input that sequence reproduces the offline construction
+  order exactly — packet row order, hop order, per-NF
   stream contents — which is what the bit-identity tests pin.
 
 * **Sealing is conservative.**  Chunk ``k`` (covering
@@ -87,11 +88,12 @@ class IngestConfig:
     #: Quarantine a stalled stream once the fastest stream leads it by
     #: this much (None = wait forever; the default for clean transports).
     straggler_timeout_ns: Optional[int] = None
-    #: Enable online clock-fault tolerance (None keeps the literal legacy
-    #: drain path, byte-identical to pre-clock behaviour).  With a
-    #: :class:`~repro.time.model.ClockConfig`, per-stream clock models
-    #: repair timestamps, raise typed faults, and widen the sealing
-    #: barrier by each stream's uncertainty bound.
+    #: Enable online clock-fault tolerance.  None merges on the raw
+    #: timestamps (identity repair: no clock model, fault or clamp; a
+    #: record older than its stream's last admitted one is rejected as a
+    #: ``reorder`` gap).  With a :class:`~repro.time.model.ClockConfig`,
+    #: per-stream clock models repair timestamps, raise typed faults, and
+    #: widen the sealing barrier by each stream's uncertainty bound.
     clock: Optional[ClockConfig] = None
 
     def __post_init__(self) -> None:
@@ -175,7 +177,7 @@ class IncrementalTrace(DiagTrace):
         self._rows: Dict[int, Tuple[int, int]] = {}
         self.config = config or IngestConfig()
         self.health = TelemetryHealth()
-        #: Health state frozen at each chunk's seal cut (clocked mode).
+        #: Health state frozen at each chunk's seal cut.
         #: Live cumulative health keeps evolving from records *beyond* a
         #: sealed chunk's barrier, and how far beyond depends on delivery
         #: pacing — so diagnosing a chunk against live health would bake
@@ -184,7 +186,7 @@ class IncrementalTrace(DiagTrace):
         #: barrier is a pure function of the record streams.
         self._chunk_health: Dict[int, Optional[TelemetryHealth]] = {}
         self._next_health_chunk = 0
-        #: Per-stream online clock models (None in legacy strict mode).
+        #: Per-stream online clock models (None: raw timestamps).
         self.clock: Optional[ClockBank] = (
             ClockBank(self.config.clock) if self.config.clock is not None else None
         )
@@ -289,14 +291,10 @@ class IncrementalTrace(DiagTrace):
     def telemetry_for_chunk(self, index: int):
         """The health state chunk ``index`` must be diagnosed against.
 
-        Clocked mode returns the seal-cut snapshot (falling back to the
-        final state for chunks only sealed by EOS); legacy mode returns
-        the live health — its only degradation sources are final by the
-        time a chunk seals.  Entries behind ``index`` are dropped:
-        diagnosis is sequential, only retries revisit a chunk.
+        That is the seal-cut snapshot, falling back to the final state
+        for chunks only sealed by EOS.  Entries behind ``index`` are
+        dropped: diagnosis is sequential, only retries revisit a chunk.
         """
-        if self.clock is None:
-            return self.telemetry
         for old in [k for k in self._chunk_health if k < index]:
             del self._chunk_health[old]
         if index in self._chunk_health:
@@ -334,9 +332,6 @@ class IncrementalTrace(DiagTrace):
             )
         )
         self._degrade()
-
-    def _reject(self, record: TelemetryRecord, kind: str) -> None:
-        self._reject_event(record.stream, record.time_ns, kind)
 
     def _reject_event(self, stream: str, time_ns: int, kind: str) -> None:
         self.rejects += 1
@@ -414,84 +409,17 @@ class IncrementalTrace(DiagTrace):
             return None
         return horizon
 
-    def _drain(self, feed: TelemetryFeed, horizon: Optional[int]) -> List[TelemetryRecord]:
-        """Pop, validate and sequence-check records up to the horizon.
-
-        Records strictly below the horizon are always safe.  Records *at*
-        the horizon need the tie rule: a future record at the horizon
-        timestamp can only come from a live stream whose watermark equals
-        the horizon, and it would merge-sort after that stream's buffered
-        records (larger seq) but before any larger-named stream's.  So,
-        sweeping streams in ascending name order, horizon-timestamp
-        records drain until the first live horizon-tied stream is passed —
-        everything after it must wait.  Without this rule a burst of
-        same-timestamp records larger than the buffer deadlocks the
-        barrier: the buffer is full of records at the stream's own
-        watermark, nothing is below the horizon, and the stream can never
-        be pulled again.
-        """
-        batch: List[TelemetryRecord] = []
-        tie_open = True
-        for stream in sorted(feed.buffers):
-            buffer = feed.buffers[stream]
-            if stream in self._excluded:
-                # Quarantined evidence: drained and discarded (the
-                # quarantine gap already marks the stream untrusted).
-                while buffer:
-                    buffer.pop()
-                    self.rejects += 1
-                continue
-            live_at_horizon = (
-                horizon is not None
-                and not feed.at_eos(stream)
-                and feed.watermark(stream) == horizon
-            )
-            while buffer:
-                head = buffer.head()
-                if horizon is not None and (
-                    head.time_ns > horizon
-                    or (head.time_ns == horizon and not tie_open)
-                ):
-                    break
-                record = buffer.pop()
-                expected = self._next_seq.get(stream, 0)
-                if record.seq < expected:
-                    self.duplicates += 1
-                    continue
-                if record.seq > expected:
-                    missing = record.seq - expected
-                    self._gap(
-                        stream,
-                        self._last_time.get(stream, 0),
-                        record.time_ns,
-                        "loss",
-                        count=missing,
-                    )
-                    self._account_loss(stream, missing)
-                self._next_seq[stream] = record.seq + 1
-                if record.time_ns < self._last_time.get(stream, 0):
-                    self._reject(record, "reorder")
-                    continue
-                self._last_time[stream] = record.time_ns
-                batch.append(record)
-            if live_at_horizon:
-                # This stream may still deliver more records at exactly
-                # the horizon; larger-named streams' horizon records
-                # would sort after them, so they stay buffered.
-                tie_open = False
-        batch.sort(key=lambda record: record.merge_key)
-        return batch
-
-    # -- clocked ingestion -------------------------------------------------------
+    # -- the merge ---------------------------------------------------------------
     #
-    # With clock models enabled the "pop everything below the horizon,
-    # sort, apply" drain no longer works: the sort key is the *repaired*
-    # timestamp, and the repair function evolves as records are admitted.
-    # Instead records merge one at a time through a heap of stream heads
-    # keyed ``(repaired time, stream, seq)``: pop the minimal key, admit
-    # that record inline at exactly that repaired time (observations come
+    # Records merge one at a time through a heap of stream heads keyed
+    # ``(repaired time, stream, seq)``: pop the minimal key, admit that
+    # record inline at exactly that repaired time (observations come
     # strictly after its repair is fixed, so the key used for ordering is
     # the time that gets applied), then re-key only the popped stream.
+    # Without clock models the repair is the identity and the key is the
+    # raw ``(time_ns, stream, seq)``: the simulator's event-loop tie order
+    # when sources are registered in name order, which is what makes live
+    # trace construction reproduce the offline packet insertion order.
     #
     # Heap invariant: a head's key is a pure function of its own stream's
     # admitted prefix — the stream's clock model, its last repaired time
@@ -512,7 +440,8 @@ class IncrementalTrace(DiagTrace):
     # before any of its hops can pair).  The repaired key of stream
     # ``s``'s ``k``-th record is therefore a pure function of per-stream
     # record prefixes — independent of transport batching — which is
-    # what keeps sealed chunks byte-identical across crash/restart and
+    # what keeps sealed chunks (and the seal-cut health snapshots taken
+    # inside the drain) byte-identical across crash/restart and
     # socket-timing variation.  The heap is a snapshot of the buffers when
     # the drain starts: a stream that is empty then (or that a receive
     # thread refills after it ran dry) joins at the next ``ingest()``,
@@ -522,13 +451,18 @@ class IncrementalTrace(DiagTrace):
     def _repair_time(self, stream: str, raw_ns: int) -> int:
         """Raw timestamp → repaired timestamp (model + monotone clamp).
 
-        The clamp against the stream's last *repaired* time guarantees
-        per-stream monotonicity even while the model estimate moves, so
+        Without clock models this is the identity, with no clamp: a
+        record older than its stream's last admitted one keeps its raw
+        key and :meth:`_admit` rejects it.  With them, the clamp against
+        the stream's last *repaired* time guarantees per-stream
+        monotonicity even while the model estimate moves, so
         already-sealed chunks can never be contradicted by a later
-        repair.  (In clocked mode ``_last_time`` stores repaired times.)
+        repair.  (``_last_time`` stores repaired times.)
         """
-        assert self.clock is not None
-        rep = raw_ns - self.clock.offset_at(stream, raw_ns)
+        clock = self.clock
+        if clock is None:
+            return raw_ns
+        rep = raw_ns - clock.offset_at(stream, raw_ns)
         return max(rep, self._last_time.get(stream, 0))
 
     def _clock_faults(self, stream: str, at_ns: int, faults: List[ClockFault]) -> None:
@@ -549,12 +483,18 @@ class IncrementalTrace(DiagTrace):
                 self._excluded.add(stream)
                 self.health.quarantined.add(stream)
 
-    def _admit_clocked(self, record: TelemetryRecord, rep: int) -> bool:
-        """Observe and apply one popped record at its repaired key ``rep``
-        (clocked mode)."""
+    def _admit(self, record: TelemetryRecord, rep: int) -> bool:
+        """Observe and apply one popped record at its repaired key ``rep``;
+        False if it was rejected into a health gap."""
         stream = record.stream
         raw = record.time_ns
         clock = self.clock
+        if clock is None:
+            if raw < self._last_time.get(stream, 0):
+                self._reject_event(stream, raw, "reorder")
+                return False
+            self._last_time[stream] = raw
+            return self._apply(record)
         self._last_time[stream] = rep
         faults = clock.observe_local(stream, raw)
         if faults:
@@ -612,16 +552,21 @@ class IncrementalTrace(DiagTrace):
             return None
         return (rep, stream, head.seq)
 
-    def _drain_clocked(self, feed: TelemetryFeed, horizon: Optional[int]) -> int:
-        """Heap-keyed merge: admit eligible heads in repaired-key order.
+    def _drain(self, feed: TelemetryFeed, horizon: Optional[int]) -> int:
+        """Admit eligible buffered records in merge-key order.
 
-        Same tie rule as :meth:`_drain`, on the repaired clock: records
-        *at* the horizon drain only for streams named at or below the
-        smallest live stream whose effective watermark equals the
-        horizon — later-named streams' horizon records could still be
-        preceded by that stream's future deliveries.  One key is
-        computed per popped record: only the popped stream is re-keyed
-        (see the heap invariant above).
+        Records strictly below the horizon are always safe.  Records *at*
+        the horizon need the tie rule: a future record at the horizon can
+        only come from a live stream whose floor equals the horizon, and
+        it would merge after that stream's buffered records (larger seq)
+        but before any larger-named stream's.  So horizon records drain
+        only for streams named at or below the smallest such stream.
+        Without this rule a burst of same-timestamp records larger than
+        the buffer deadlocks the barrier: the buffer is full of records
+        at the stream's own watermark, nothing is below the horizon, and
+        the stream can never be pulled again.  One key is computed per
+        popped record: only the popped stream is re-keyed (see the heap
+        invariant above).
         """
         tie_limit: Optional[str] = None
         if horizon is not None:
@@ -667,7 +612,7 @@ class IncrementalTrace(DiagTrace):
                     )
                     self._account_loss(stream, missing)
                 self._next_seq[stream] = seq + 1
-                if self._admit_clocked(record, rep):
+                if self._admit(record, rep):
                     applied += 1
                     self._ok[stream] = self._ok.get(stream, 0) + 1
                     if stream in self.health.completeness:
@@ -690,10 +635,15 @@ class IncrementalTrace(DiagTrace):
                 self.rejects += 1
         return applied
 
-    def _ingest_clocked(self, feed: TelemetryFeed) -> int:
+    def ingest(self, feed: TelemetryFeed) -> int:
+        """Drain and apply every record below the current barrier.
+
+        Returns the number of records applied.  Call after each
+        ``feed.pump()``; safe to call when nothing advanced.
+        """
         self._quarantine_stragglers(feed)
         horizon = self._horizon(feed)
-        applied = self._drain_clocked(feed, horizon)
+        applied = self._drain(feed, horizon)
         self.records_applied += applied
         if horizon is not None and horizon > self._applied_horizon:
             self._applied_horizon = horizon
@@ -719,8 +669,8 @@ class IncrementalTrace(DiagTrace):
     def _apply_event(
         self, stream: str, kind: str, time_ns: int, pid: int, data: Tuple[int, ...]
     ) -> bool:
-        """Apply one record's fields (``time_ns`` already repaired in
-        clocked mode); False if it was rejected into a health gap."""
+        """Apply one record's fields (``time_ns`` already repaired);
+        False if it was rejected into a health gap."""
         if pid < 0:
             self._reject_event(stream, time_ns, "loss")
             return False
@@ -879,36 +829,6 @@ class IncrementalTrace(DiagTrace):
         state = super().__getstate__()
         state["_snapshot"] = None  # derived from the buffers
         return state
-
-    def ingest(self, feed: TelemetryFeed) -> int:
-        """Drain and apply every record below the current barrier.
-
-        Returns the number of records applied.  Call after each
-        ``feed.pump()``; safe to call when nothing advanced.
-        """
-        if self.clock is not None:
-            return self._ingest_clocked(feed)
-        self._quarantine_stragglers(feed)
-        horizon = self._horizon(feed)
-        applied = 0
-        for record in self._drain(feed, horizon):
-            if self._apply(record):
-                applied += 1
-                self._ok[record.stream] = self._ok.get(record.stream, 0) + 1
-                if record.stream in self.health.completeness:
-                    ok = self._ok[record.stream]
-                    lost = self._lost.get(record.stream, 0)
-                    self.health.completeness[record.stream] = ok / (ok + lost)
-        self.records_applied += applied
-        if horizon is not None and horizon > self._applied_horizon:
-            self._applied_horizon = horizon
-        if horizon is None and all(
-            stream in self._excluded
-            or (feed.at_eos(stream) and not feed.buffers[stream])
-            for stream in feed.buffers
-        ):
-            self._complete = True
-        return applied
 
     # -- sealing ----------------------------------------------------------------
 

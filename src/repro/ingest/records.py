@@ -60,16 +60,6 @@ class TelemetryRecord:
         if self.kind not in RECORD_KINDS:
             raise IngestError(f"unknown telemetry record kind {self.kind!r}")
 
-    @property
-    def merge_key(self) -> Tuple[int, str, int]:
-        """Global apply order: time, then stream name, then sequence.
-
-        Matches the event-loop tie order of the simulator when sources
-        are registered in name order, which is what makes live trace
-        construction reproduce the offline packet insertion order.
-        """
-        return (self.time_ns, self.stream, self.seq)
-
 
 def emit_record(
     stream: str, seq: int, time_ns: int, pid: int, flow_tuple: Tuple[int, ...]

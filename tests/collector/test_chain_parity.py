@@ -15,6 +15,7 @@ and builds no packet or hop object, and a lossy one steps only at the
 items verification rejects.
 """
 
+from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
 
@@ -34,7 +35,7 @@ from repro.collector.reconstruct import (
     TraceReconstructor,
     _StreamMatcher,
 )
-from repro.collector.runtime import NFRecords
+from repro.collector.runtime import BatchStream, NFRecords
 from repro.core.records import DiagTrace
 from repro.errors import TraceError
 from repro.experiments.harness import run_injected_experiment
@@ -146,7 +147,11 @@ class TestChainParity:
     @pytest.mark.parametrize("tolerant", [False, True])
     def test_fig10_chain(self, chain, tolerant):
         ours, _packets = assert_same_chaining(*chain, tolerant)
-        assert ours.stats.chains_built and ours.stats.chains_broken
+        # Clean collection breaks no chain, however long the burst's
+        # queue-overflow drop runs; the break path is pinned on the
+        # collector-chaos inputs below.
+        assert ours.stats.chains_built
+        assert ours.stats.chains_broken == ours.stats.unmatched_rx == 0
 
     @pytest.mark.parametrize("tolerant", [False, True])
     @pytest.mark.parametrize(
@@ -301,7 +306,7 @@ def planted_runs(draw):
     }
     merged_stream = ([m[0] for m in merged], [m[1] for m in merged])
     lookahead = draw(st.sampled_from([0, 1, 4]))
-    max_skip = draw(st.sampled_from([0, 3, 64]))
+    max_skip = draw(st.sampled_from([None, 0, 3, 64]))
     first_plant = min((j for _kind, j in plants), default=n)
     return (merged_stream, streams, lo, hi, lookahead, max_skip), first_plant
 
@@ -409,6 +414,31 @@ class TestReconstructionCost:
         assert trace.columns().n_hops > 10_000
         assert lookups[0] == 0
         assert hops[0] == packets[0] == 0
+
+    @pytest.mark.parametrize("tolerant", [False, True])
+    def test_each_list_stream_is_converted_once(self, chain, tolerant):
+        """The earlier pass converted a TX list once as its downstream
+        NF's writer and once as its own TX stream, and tolerant mode's
+        validation a third time."""
+        data, edges, _meta = chain
+        lists = {
+            id(stream): stream
+            for records in data.nfs.values()
+            for stream in (records.rx, *records.tx.values())
+        }
+        converted = Counter()
+        of = BatchStream.of.__func__
+
+        def counting_of(cls, batches):
+            if lists.get(id(batches)) is batches:
+                converted[id(batches)] += 1
+            return of(cls, batches)
+
+        reconstructor = TraceReconstructor(data, edges, tolerant=tolerant)
+        with mock.patch.object(BatchStream, "of", classmethod(counting_of)):
+            reconstructor.reconstruct()
+        assert set(converted) == set(lists)
+        assert set(converted.values()) == {1}
 
     def test_lossy_input_steps_only_at_rejected_items(self, chain):
         data, edges, _meta = chain

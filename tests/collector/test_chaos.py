@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.collector.chaos import ChaosConfig, chaos_from_env, inject_chaos
+from repro.collector.chaos import ChaosConfig, inject_chaos
 from repro.time import ClockSchedule
 from repro.collector.runtime import (
     BatchRecord,
@@ -13,6 +13,7 @@ from repro.collector.runtime import (
 )
 from repro.errors import ConfigurationError
 from repro.nfv.packet import FiveTuple
+from tests.chaos_env import chaos_from_env
 
 FLOW = FiveTuple.of("10.1.0.1", "20.1.0.1", 1111, 80)
 

@@ -2,12 +2,12 @@
 
 ``_StreamMatcher`` answers each merged item's per-stream candidate with
 bisection over an ``ipid -> positions`` index (streams whose times never
-decrease) or a bounded scan (the rest).  It must return what the scan
-matcher in ``tests/oracles/reconstruct.py`` returns — assignment and both
-counters — on every input, and whole reconstructions must agree on the
-Fig. 9 and Fig. 10/14-chain fixtures.  A wall-clock-free guard pins the
-cost: stream elements read per merged item grow with ``log n``, not with
-``max_skip``.
+decrease) or a scan (the rest), with or without a ``max_skip`` bound.
+It must return what the scan matcher in ``tests/oracles/reconstruct.py``
+returns — assignment and both counters — on every input, and whole
+reconstructions must agree on the Fig. 9 and Fig. 10/14-chain fixtures.
+A wall-clock-free guard pins the cost: stream elements read per merged
+item grow with ``log n``, not with the window.
 """
 
 import math
@@ -39,8 +39,8 @@ def run_both(merged, streams, lo, hi, lookahead, max_skip):
 def matcher_inputs(draw):
     """1–4 streams over a tiny ipid alphabet (collisions force the
     lookahead), equal timestamps, gaps wider than the window, drop runs
-    longer than ``max_skip``, and optionally disordered streams (strict
-    mode over damaged input)."""
+    longer than ``max_skip`` (or no bound), and optionally disordered
+    streams (strict mode over damaged input)."""
     max_wait = draw(st.sampled_from([0, 3, 10]))
     lo, hi = draw(st.sampled_from([(-max_wait, 0), (0, max_wait)]))
     alphabet = draw(st.integers(1, 4))
@@ -70,7 +70,7 @@ def matcher_inputs(draw):
     merged_times = [t for t, _i in merged]
     merged_ipids = [i for _t, i in merged]
     lookahead = draw(st.sampled_from([0, 1, 4]))
-    max_skip = draw(st.sampled_from([0, 1, 3, 64]))
+    max_skip = draw(st.sampled_from([None, 0, 1, 3, 64]))
     return (merged_times, merged_ipids), streams, lo, hi, lookahead, max_skip
 
 
@@ -109,6 +109,25 @@ class TestMatcherParity:
         )
         assert assignment == expected == [("a", 0), ("b", 1)]
         assert ours.stats_ambiguous == theirs.stats_ambiguous == 1
+
+
+class TestLongDropRuns:
+    def test_queue_matching_reaches_past_any_drop_run(self):
+        """500 writer items dropped at a full queue, then two reads: with
+        no bound (queue matching) both match; the search still stops at
+        the read time.  A bound of 64 — once applied to queue matching
+        too — leaves them unmatched."""
+        drops = 500
+        writer = (list(range(drops + 3)), list(range(drops + 3)))
+        merged = ([drops + 1, drops + 2], [drops, drops + 1])
+        (ours, assignment), (theirs, expected) = run_both(
+            merged, {"w": writer}, -1_000, 0, 4, None
+        )
+        assert assignment == expected == [("w", drops), ("w", drops + 1)]
+        assert ours.stats_unmatched == theirs.stats_unmatched == 0
+        (bounded, assignment), _ = run_both(merged, {"w": writer}, -1_000, 0, 4, 64)
+        assert assignment == [None, None]
+        assert bounded.stats_unmatched == 2
 
 
 def reconstruction_state(reconstructor, packets):

@@ -1,7 +1,7 @@
 """The heap-keyed clocked merge against the per-record-scan oracle.
 
-``IncrementalTrace._drain_clocked`` keeps eligible stream heads in a heap
-and re-keys only the stream it just popped; ``tests/oracles/ingest.py``
+``IncrementalTrace._drain`` keeps eligible stream heads in a heap and
+re-keys only the stream it just popped; ``tests/oracles/ingest.py``
 keeps the drain it replaced, which rescans and re-keys every head for
 every record and rebuilds repaired records with ``dataclasses.replace``.
 The property below drives both through the same transport — clock chaos
@@ -244,6 +244,13 @@ class TestHeapMergeMatchesOracle:
             Case(schedules=(), straggler_timeout_ns=300 * USEC, dead_stream="vpn1"),
         )
         assert builder.health.quarantined == {"vpn1"}
+
+
+class TestOracleIsNotTheProductionMerge:
+    def test_oracle_overrides_drain_and_admit(self):
+        """The comparison above is not the production code against itself."""
+        assert OracleIncrementalTrace._drain is not IncrementalTrace._drain
+        assert OracleIncrementalTrace._admit is not IncrementalTrace._admit
 
 
 class TestOneKeyPerRecord:

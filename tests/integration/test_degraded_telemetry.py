@@ -20,7 +20,7 @@ import os
 import pytest
 
 from repro.aggregation.patterns import PatternAggregator
-from repro.collector.chaos import ChaosConfig, chaos_from_env, inject_chaos
+from repro.collector.chaos import ChaosConfig, inject_chaos
 from repro.collector.reconstruct import EdgeSpec, TraceReconstructor
 from repro.collector.runtime import RuntimeCollector
 from repro.core.diagnosis import MicroscopeEngine
@@ -42,6 +42,7 @@ from repro.nfv import (
 from repro.traffic import IpidSpace, PidAllocator, constant_rate_flow, merge_schedules
 from repro.util.rng import substream
 from repro.util.timebase import MSEC, USEC
+from tests.chaos_env import chaos_from_env
 from tests.core.test_fastpath import canonical_bytes
 
 pytestmark = pytest.mark.slow

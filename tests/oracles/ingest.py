@@ -1,9 +1,10 @@
 """Per-record-scan clocked merge: the reference for ``IncrementalTrace``.
 
-What ``IncrementalTrace._drain_clocked`` / ``_admit_clocked`` were before
-the drain kept its stream heads in a heap: every popped record rescans and
-re-keys every stream head, and the admitted record is rebuilt with
-``dataclasses.replace`` before ``_apply``.  Moved here unedited; the
+What ``IncrementalTrace._drain`` / ``_admit`` (then ``_drain_clocked`` /
+``_admit_clocked``) were before the drain kept its stream heads in a heap:
+every popped record rescans and re-keys every stream head, and the
+admitted record is rebuilt with ``dataclasses.replace`` before
+``_apply``.  Moved here unedited but for those names; clocked mode only.  The
 production merge must leave the builder in the same state — per-pump
 ``sealed_chunks``, packets, NF views, health, seal-cut snapshots, clock
 payload, ``ingest_stats`` — for every record stream and batching
@@ -23,7 +24,7 @@ from repro.ingest.records import TelemetryRecord
 class OracleIncrementalTrace(IncrementalTrace):
     """``IncrementalTrace`` with the per-record-scan clocked drain."""
 
-    def _admit_clocked(self, record: TelemetryRecord) -> bool:
+    def _admit(self, record: TelemetryRecord) -> bool:
         """Repair, observe, and apply one popped record (clocked mode)."""
         stream = record.stream
         raw = record.time_ns
@@ -71,12 +72,12 @@ class OracleIncrementalTrace(IncrementalTrace):
                 record = dc_replace(record, time_ns=rep)
         return self._apply(record)
 
-    def _drain_clocked(self, feed: TelemetryFeed, horizon: Optional[int]) -> int:
+    def _drain(self, feed: TelemetryFeed, horizon: Optional[int]) -> int:
         """Pick-min merge: admit eligible heads in repaired-key order.
 
-        Same tie rule as :meth:`_drain`, on the repaired clock: records
-        *at* the horizon drain only for streams named at or below the
-        smallest live stream whose effective watermark equals the
+        Same tie rule as the production drain, on the repaired clock:
+        records *at* the horizon drain only for streams named at or below
+        the smallest live stream whose effective watermark equals the
         horizon — later-named streams' horizon records could still be
         preceded by that stream's future deliveries.
         """
@@ -130,7 +131,7 @@ class OracleIncrementalTrace(IncrementalTrace):
                 )
                 self._account_loss(stream, missing)
             self._next_seq[stream] = record.seq + 1
-            if self._admit_clocked(record):
+            if self._admit(record):
                 applied += 1
                 self._ok[stream] = self._ok.get(stream, 0) + 1
                 if stream in self.health.completeness:

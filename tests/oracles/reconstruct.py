@@ -3,8 +3,10 @@
 
 What the reconstruction matcher was before streams became parallel
 ``times`` / ``ipids`` lists with a per-stream ``ipid -> positions`` index:
-every merged item walks up to ``max_skip + 1`` items of every component
-stream, testing a window predicate on each.  Moved here unedited
+every merged item walks every component stream up to its first too-new
+item (at most ``max_skip + 1`` items when a bound is given), testing a
+window predicate on each.  Moved here unedited but for that bound, which
+was 64 for every matching and is now optional
 (:class:`ScanStreamMatcher`, with its ``_Item``); :class:`OracleStreamMatcher`
 puts it behind the production constructor, and :func:`matching_through`
 makes every ``TraceReconstructor`` inside the block match with it.  The
@@ -64,7 +66,7 @@ class ScanStreamMatcher:
         streams: Dict[str, List[_Item]],
         window_ok,
         lookahead: int = 4,
-        max_skip: int = 64,
+        max_skip: Optional[int] = None,
     ) -> None:
         self.merged = merged
         self.streams = streams
@@ -84,7 +86,9 @@ class ScanStreamMatcher:
         for key, stream in self.streams.items():
             idx = pointers[key]
             skips = 0
-            while idx < len(stream) and skips <= self.max_skip:
+            while idx < len(stream) and (
+                self.max_skip is None or skips <= self.max_skip
+            ):
                 item = stream[idx]
                 if not self.window_ok(item.time_ns, merged_time):
                     if item.time_ns > merged_time:
@@ -159,7 +163,7 @@ class OracleStreamMatcher(ScanStreamMatcher):
         lo: int,
         hi: int,
         lookahead: int = 4,
-        max_skip: int = 64,
+        max_skip: Optional[int] = None,
     ) -> None:
         assert lo <= 0 <= hi, (lo, hi)
 
