@@ -14,30 +14,33 @@ adapts for causal-pattern aggregation:
   ancestors; compression then works on the specificity-ordered candidate
   list with the same residual rule.
 
-:class:`MultiAutoFocus` runs on int codes, not node objects: pass 1 sums
-weights per shared node code (:data:`~repro.aggregation.hierarchy.
-NODE_CODES`, one hash per leaf instead of one per ancestor), passes 2 and
-3 use dense codes of each dimension's pruned significant nodes, and
-compression applies containment as one mask per reported cluster over the
-later candidates, looked up from a table built with ``contains_node``
-over that dimension's nodes.  Every float is summed in the order the
-object code summed it — combos in item order, each candidate's explained
-weight as one ``sum`` over the containing clusters' residuals in report
-order — so weights and residuals are bit-identical to the object
-reference in ``tests/oracles/autofocus.py``.
+The multidimensional passes run on arrays, for many independent groups
+of items at once (:func:`segmented_autofocus`), each group with its own
+threshold.  A dimension is a :class:`Lattice`: per item row, the key of
+its ancestor at every depth.  Pass 1 numbers each group's nodes from one
+sort of the rows and sums their weights with ``bincount``; pass 2
+enumerates every item's option cross product as mixed-radix digits, in
+``itertools.product`` order; pass 3 compresses in rounds, one reported
+cluster per group per round.  Every float is summed in the order the
+object code summed it — node and combo weights in item order, each
+candidate's explained weight over the containing clusters' residuals in
+report order, by the builtin ``sum``'s rule (compensated from CPython
+3.12) — and ties sort by first occurrence, so clusters are bit-identical
+to the object reference in ``tests/oracles/autofocus.py``.
+Node objects are built only for the reported clusters.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.aggregation.hierarchy import NODE_CODES, ancestors
+from repro.aggregation.hierarchy import ancestors
 from repro.errors import AggregationError
+from repro.util.arrays import add_in_order, running_sums
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,398 @@ def compress_unidimensional(
     return reported
 
 
+class Lattice:
+    """One dimension of an AutoFocus run, as arrays over item rows.
+
+    ``keys[r, d]`` names row ``r``'s ancestor at depth ``d`` (``-1`` past
+    the row's leaf); a node is a ``(depth, key)`` pair and ``node(depth,
+    key)`` builds its hierarchy object.  ``sort_keys`` (``np.lexsort``
+    keys, primary last) must order the rows so that, within a group, the
+    rows sharing a node at any depth are contiguous — one leaf key does
+    that when it orders its ancestors' keys, as prefixes do.
+    """
+
+    def __init__(
+        self,
+        keys: Optional[np.ndarray],
+        sort_keys: Tuple[np.ndarray, ...],
+        node: Callable[[int, int], object],
+    ) -> None:
+        self.keys = keys
+        self.sort_keys = sort_keys
+        self.node = node
+
+    @classmethod
+    def of_nodes(cls, leaves: Sequence[object]) -> "Lattice":
+        """A lattice over hierarchy node objects: each distinct node gets a
+        key for this lattice only, found by walking ``parent()`` once."""
+        chains: Dict[object, Tuple[int, ...]] = {}
+        nodes: List[object] = []
+        rows = []
+        for leaf in leaves:
+            chain = chains.get(leaf)
+            if chain is None:
+                walk = []
+                node = leaf
+                while node is not None and node not in chains:
+                    walk.append(node)
+                    node = node.parent()
+                chain = () if node is None else chains[node]
+                for new in reversed(walk):
+                    chain = chain + (len(nodes),)
+                    nodes.append(new)
+                    chains[new] = chain
+            rows.append(chain)
+        width = max(map(len, rows), default=1)
+        keys = np.full((len(rows), width), -1, dtype=np.int64)
+        for i, chain in enumerate(rows):
+            keys[i, : len(chain)] = chain
+        return cls(
+            keys,
+            tuple(keys[:, d] for d in reversed(range(width))),
+            lambda _depth, key: nodes[key],
+        )
+
+    @property
+    def width(self) -> int:
+        """Depths a chain can have: the deepest leaf's depth plus one."""
+        return self.keys.shape[1]
+
+    def take(self, rows: np.ndarray) -> "Lattice":
+        """The same dimension over a subset of the rows."""
+        return Lattice(
+            self.keys[rows], tuple(k[rows] for k in self.sort_keys), self.node
+        )
+
+    def leaves(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per row, ``(depth, key)`` of its leaf."""
+        depth = (self.keys >= 0).sum(axis=1) - 1
+        return depth, self.keys[np.arange(len(self.keys)), depth]
+
+    def key_at(self, rows: np.ndarray, depth: np.ndarray) -> np.ndarray:
+        """Key of each row's ancestor at ``depth``."""
+        return self.keys[rows, depth]
+
+    def shared_depth(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per row pair, the deepest depth at which both rows have the same
+        ancestor (``-1``: none)."""
+        return ((self.keys[a] == self.keys[b]) & (self.keys[a] >= 0)).sum(axis=1) - 1
+
+    def node_ids(self, group: np.ndarray) -> Tuple[np.ndarray, int]:
+        """Per row and depth, a dense id per (group, node); ``-1`` past the
+        leaf.  One sort of the rows, then a new id at every depth below
+        the one a row shares with the previous row of its group."""
+        perm = np.lexsort(self.sort_keys + (group,))
+        n = len(perm)
+        shared = np.full(n, -1, dtype=np.int64)
+        if n > 1:
+            shared[1:] = self.shared_depth(perm[:-1], perm[1:])
+            shared[1:][group[perm][1:] != group[perm][:-1]] = -1
+        depths = np.arange(self.width)
+        present = depths <= self.leaves()[0][perm][:, None]
+        start = present & (depths > shared[:, None])
+        ids = np.cumsum(start.T.ravel(), dtype=np.int32).reshape(self.width, n).T - 1
+        ids[~present] = -1
+        out = np.empty_like(ids)
+        out[perm] = ids
+        return out, int(start.sum())
+
+
+class PrefixLattice(Lattice):
+    """A binary prefix hierarchy over ``bits``-bit values (IP addresses,
+    adaptive port blocks): a row's key at depth ``d`` is its value's top
+    ``d`` bits, computed on demand; rows without a value (``has`` false)
+    stop at the root."""
+
+    def __init__(self, values: np.ndarray, has: np.ndarray, bits: int, node_type) -> None:
+        super().__init__(
+            None,
+            (np.where(has, values, -1),),
+            lambda depth, key: node_type(key << (bits - depth), depth),
+        )
+        self.values = values
+        self.has = has
+        self.bits = bits
+        self.node_type = node_type
+
+    @property
+    def width(self) -> int:
+        return self.bits + 1
+
+    def take(self, rows: np.ndarray) -> "PrefixLattice":
+        return PrefixLattice(self.values[rows], self.has[rows], self.bits, self.node_type)
+
+    def leaves(self) -> Tuple[np.ndarray, np.ndarray]:
+        return np.where(self.has, self.bits, 0), np.where(self.has, self.values, 0)
+
+    def key_at(self, rows: np.ndarray, depth: np.ndarray) -> np.ndarray:
+        return np.where(self.has[rows], self.values[rows] >> (self.bits - depth), 0)
+
+    def shared_depth(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # frexp's exponent is the bit length, exactly, below 2**53.
+        differ = np.frexp((self.values[a] ^ self.values[b]).astype(np.float64))[1]
+        return np.where(self.has[a] & self.has[b], self.bits - differ, 0)
+
+
+@dataclass
+class Found:
+    """Reported clusters of a segmented run, group by group, each group's
+    highest residual first (ties in report order).  ``depth`` and ``key``
+    are ``(n, n_dims)``: the cluster's node on each dimension."""
+
+    group: np.ndarray
+    depth: np.ndarray
+    key: np.ndarray
+    weight: np.ndarray
+    residual: np.ndarray
+
+    def nodes(self, lattices: Sequence[Lattice], i: int) -> Tuple[object, ...]:
+        depth, key = self.depth[i].tolist(), self.key[i].tolist()
+        return tuple(
+            lattice.node(d, k) for lattice, d, k in zip(lattices, depth, key)
+        )
+
+
+class _Dim:
+    """Pass-1 state of one lattice: node ids, weights and pruned options."""
+
+    def __init__(
+        self,
+        lattice: Lattice,
+        weights: np.ndarray,
+        group: np.ndarray,
+        thresholds: np.ndarray,
+        first_rows: np.ndarray,
+        fanout: int,
+    ) -> None:
+        self.lattice = lattice
+        ids, n_nodes = lattice.node_ids(group)
+        self.ids = ids
+        n, width = ids.shape
+        # Per node (shifted by one: bin 0 collects the ``-1`` entries):
+        # weight summed in row order, depth and a row holding it.
+        slot = ids.ravel() + 1
+        weight = np.bincount(
+            slot, weights=np.repeat(weights, width), minlength=n_nodes + 1
+        )[1:]
+        self.level = np.empty(n_nodes + 1, dtype=np.int32)
+        self.level[slot] = np.tile(np.arange(width, dtype=np.int32), n)
+        self.level = self.level[1:]
+        self.rep = np.empty(n_nodes + 1, dtype=np.int32)
+        self.rep[slot] = np.repeat(np.arange(n, dtype=np.int32), width)
+        self.rep = self.rep[1:]
+        del slot
+        # Significant nodes, plus the root each group's first item reaches
+        # (the dimension root is always a candidate, so multidimensional
+        # clusters can fall back to "any" on this dimension).
+        significant = weight >= thresholds[group[self.rep]]
+        significant[ids[first_rows, 0]] = True
+        # Chain pruning: a node whose weight does not exceed its heaviest
+        # significant child is redundant — any combination using it scores
+        # the same as the more specific combination, so residual
+        # compression would never report it.
+        child_max = np.zeros(n_nodes)
+        kids = np.flatnonzero(significant & (self.level > 0))
+        parents = ids[self.rep[kids], self.level[kids] - 1]
+        on = significant[parents]
+        np.maximum.at(child_max, parents[on], weight[kids[on]])
+        kept = significant & ((self.level == 0) | (weight > child_max))
+        self.rank = np.cumsum(kept, dtype=np.int32) - 1
+        self.n_kept = int(self.rank[-1]) + 1
+        # Options: per row, its kept ancestors, most specific first, capped
+        # at ``fanout``.
+        leaf_first = ids[:, ::-1]
+        usable = kept[leaf_first] & (leaf_first >= 0)
+        position = np.cumsum(usable, axis=1, dtype=np.int32)
+        usable &= position <= fanout
+        self.count = np.minimum(position[:, -1], max(fanout, 0)).astype(np.int64)
+        self.options = np.full((n, max(1, min(fanout, width))), -1, dtype=np.int32)
+        r, c = np.nonzero(usable)
+        self.options[r, position[r, c] - 1] = leaf_first[r, c]
+
+
+def _dense(key: np.ndarray) -> np.ndarray:
+    return np.unique(key, return_inverse=True)[1].reshape(-1)
+
+
+def _trim(dims: List[_Dim], max_combos: int) -> np.ndarray:
+    """Per row, option counts after the ``max_combos`` cap: while a row's
+    cross product exceeds it, its longest dimension (the first, on ties)
+    keeps only its most specific and most general option.  Returns the
+    ``(rows, dims)`` counts."""
+    counts = np.stack([dim.count for dim in dims], axis=1)
+    # Float products: exact below 2**53, and above it far over any cap.
+    over = np.flatnonzero(np.prod(np.maximum(counts, 1).astype(float), axis=1) > max_combos)
+    while len(over):
+        sub = counts[over]
+        longest = np.argmax(sub, axis=1)
+        length = sub[np.arange(len(over)), longest]
+        go = length > 2
+        over, longest, length = over[go], longest[go], length[go]
+        for d, dim in enumerate(dims):
+            rows = over[longest == d]
+            dim.options[rows, 1] = dim.options[rows, length[longest == d] - 1]
+            counts[rows, d] = 2
+        over = over[
+            np.prod(np.maximum(counts[over], 1).astype(float), axis=1) > max_combos
+        ]
+    return counts
+
+
+def segmented_autofocus(
+    lattices: Sequence[Lattice],
+    weights: np.ndarray,
+    group: np.ndarray,
+    thresholds: np.ndarray,
+    fanout: int,
+    max_combos: int,
+) -> Found:
+    """Multidimensional AutoFocus over many groups of items at once.
+
+    Rows are items, ordered by ``group`` (non-decreasing) and, within a
+    group, in item order; group ``g`` reports against ``thresholds[g]``.
+    ``fanout`` and ``max_combos`` are ``MultiAutoFocus``'s
+    ``max_ancestor_fanout`` and ``max_combos_per_item``.  Each group's
+    clusters equal one ``MultiAutoFocus.run`` over its items with that
+    threshold (same nodes, order, and floats).
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    group = np.asarray(group, dtype=np.int64)
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    n = len(weights)
+    n_dims = len(lattices)
+    if n == 0:
+        empty = np.zeros((0, n_dims), dtype=np.int64)
+        return Found(group[:0], empty, empty, weights[:0], weights[:0])
+    first_rows = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    dims = [
+        _Dim(lattice, weights, group, thresholds, first_rows, fanout)
+        for lattice in lattices
+    ]
+
+    # Pass 2: true weights of candidate combinations.  Row ``i`` has
+    # ``prod(counts[i])`` combos; combo ``t`` of a row takes its digits in
+    # mixed radix ``counts[i]``, the last dimension varying fastest, as in
+    # ``itertools.product``.  Combos are keyed by (group, per-dimension
+    # kept-node rank), densified whenever the key would outgrow int64.
+    counts = _trim(dims, max_combos)
+    per_row = np.prod(counts, axis=1)
+    offsets = np.cumsum(per_row) - per_row
+    item = np.repeat(np.arange(n), per_row)
+    t = np.arange(len(item)) - offsets[item]
+    key = group[item]
+    radix = len(thresholds)
+    for d, node in _digits(dims, counts, item, t):
+        dim = dims[d]
+        if radix * dim.n_kept >= 1 << 62:
+            key = _dense(key)
+            radix = int(key.max()) + 1
+        key = key * dim.n_kept + dim.rank[node]
+        radix *= dim.n_kept
+    _unique, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    combo_weight = np.bincount(inverse.reshape(-1), weights=weights[item])
+    combo_group = group[item[first]]
+    cand = np.flatnonzero(combo_weight >= thresholds[combo_group])
+
+    # Pass 3: compression by residual, most specific first (ties: heavier,
+    # then first seen).
+    first, weight, cgroup = first[cand], combo_weight[cand], combo_group[cand]
+    nodes = np.zeros((len(cand), n_dims), dtype=np.int64)
+    for d, node in _digits(dims, counts, item[first], t[first]):
+        nodes[:, d] = node
+    depth_sum = sum(dim.level[nodes[:, d]] for d, dim in enumerate(dims))
+    order = np.lexsort((first, -weight, -depth_sum, cgroup))
+    nodes, weight, cgroup = nodes[order], weight[order], cgroup[order]
+    picked, residual = _compress(dims, nodes, weight, cgroup, thresholds)
+
+    out = np.lexsort((np.arange(len(picked)), -residual, cgroup[picked]))
+    picked, residual = picked[out], residual[out]
+    chosen = nodes[picked]
+    depth = np.stack(
+        [dim.level[chosen[:, d]] for d, dim in enumerate(dims)], axis=1
+    ).reshape(len(picked), n_dims)
+    keys = np.stack(
+        [
+            dim.lattice.key_at(dim.rep[chosen[:, d]], depth[:, d])
+            for d, dim in enumerate(dims)
+        ],
+        axis=1,
+    ).reshape(len(picked), n_dims)
+    return Found(cgroup[picked], depth, keys, weight[picked], residual)
+
+
+def _digits(dims: List[_Dim], counts: np.ndarray, rows: np.ndarray, t: np.ndarray):
+    """For combos ``t`` of ``rows``: ``(d, node)`` per dimension, last
+    dimension first."""
+    rest = t.copy()
+    for d in reversed(range(len(dims))):
+        count = counts[:, d][rows]
+        digit = rest % count
+        rest //= count
+        options = dims[d].options
+        yield d, options.ravel()[rows * options.shape[1] + digit]
+
+
+def _compress(
+    dims: List[_Dim],
+    nodes: np.ndarray,
+    weight: np.ndarray,
+    group: np.ndarray,
+    thresholds: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Residual compression over group-sorted candidates, in rounds.
+
+    Each round reports, per group, the next candidate whose ``weight −
+    explained`` reaches the threshold (the ones it passes over stay
+    rejected: later reports only explain later candidates), then adds its
+    residual to the explained weight of the group's later candidates
+    containing it — those whose node on every dimension is one of the
+    reported node's ancestors, marked in a per-dimension table.  Explained
+    weights add up as the builtin ``sum`` over the containing clusters in
+    report order would (:func:`~repro.util.arrays.add_in_order`).  Returns
+    the reported candidates, in report order per group, and their
+    residuals.
+    """
+    index = np.arange(len(weight))
+    floor = thresholds[group]
+    explained, error = np.zeros(len(weight)), np.zeros(len(weight))
+    columns = [nodes[:, d] for d in range(len(dims))]
+    marks = [np.zeros(len(dim.level), dtype=bool) for dim in dims]
+    slot_of = np.full(len(thresholds), -1, dtype=np.int64)
+    picked: List[np.ndarray] = []
+    residuals: List[np.ndarray] = []
+    while len(index):
+        residual = weight - running_sums(explained, error)
+        ok = np.flatnonzero(residual >= floor)
+        if not len(ok):
+            break
+        heads = ok[np.r_[True, group[ok][1:] != group[ok][:-1]]]
+        residual = residual[heads]
+        picked.append(index[heads])
+        residuals.append(residual)
+        head_nodes = [column[heads] for column in columns]
+        slot_of[group[heads]] = np.arange(len(heads))
+        slot = slot_of[group]
+        slot_of[group[heads]] = -1
+        keep = slot >= 0
+        keep[keep] = np.arange(len(index))[keep] > heads[slot[keep]]
+        index, weight, floor, group, explained, error, slot = (
+            a[keep] for a in (index, weight, floor, group, explained, error, slot)
+        )
+        columns = [column[keep] for column in columns]
+        contained = np.ones(len(index), dtype=bool)
+        for dim, column, mark, node in zip(dims, columns, marks, head_nodes):
+            lineage = dim.ids[dim.rep[node]]
+            lineage = lineage[np.arange(lineage.shape[1]) <= dim.level[node][:, None]]
+            mark[lineage] = True
+            contained &= mark[column]
+            mark[lineage] = False
+        add_in_order(explained, error, contained, residual[slot[contained]])
+    if not picked:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    return np.concatenate(picked), np.concatenate(residuals)
+
+
 @dataclass
 class MultiAutoFocus:
     """Multidimensional AutoFocus over weighted items.
@@ -149,138 +544,22 @@ class MultiAutoFocus:
             raise AggregationError(f"threshold must be positive, got {threshold}")
 
         leaves = [self.to_leaf_nodes(item) for item, _weight in items]
-        weights = [weight for _item, weight in items]
-        dims = [
-            _CodedDimension(leaf[d] for leaf in leaves) for d in range(len(leaves[0]))
+        lattices = [
+            Lattice.of_nodes([leaf[d] for leaf in leaves]) for d in range(len(leaves[0]))
         ]
-
-        # Pass 1: unidimensional significant nodes per dimension, with
-        # chain pruning: a node whose weight does not exceed its heaviest
-        # significant child is redundant — any combination using it scores
-        # the same as the more specific combination, so residual
-        # compression would never report it.  Pruning keeps the candidate
-        # cross product small.
-        for dim in dims:
-            dim.prune(weights, threshold)
-
-        # Pass 2: true weights of candidate combinations, accumulated by
-        # walking each item's significant-ancestor cross product.  Combos
-        # are tuples of node codes, summed in item order.
-        per_item = zip(*(dim.options(self.max_ancestor_fanout) for dim in dims))
-        combo_weights: Dict[Tuple[int, ...], float] = defaultdict(float)
-        for item_options, weight in zip(per_item, weights):
-            options = list(item_options)
-            combos = 1
-            for chain in options:
-                combos *= max(1, len(chain))
-            while combos > self.max_combos_per_item:
-                longest = max(options, key=len)
-                if len(longest) <= 2:
-                    break
-                # Keep the most specific node and the most general one.
-                combos //= len(longest)
-                trimmed = [longest[0], longest[-1]]
-                options[options.index(longest)] = trimmed
-                combos *= 2
-            for combo in product(*options):
-                combo_weights[combo] += weight
-
-        # Pass 3: compression by residual, most-specific first.  When a
-        # cluster is reported, one mask over the later candidates marks
-        # those containing it, and its residual joins their explained
-        # lists in report order — each candidate's explained weight is
-        # the same ``sum`` over the same floats as a scan of the reported
-        # list would take.
-        depths = [dim.depths for dim in dims]
-        ordered = sorted(
-            (
-                (combo, weight)
-                for combo, weight in combo_weights.items()
-                if weight >= threshold
-            ),
-            key=lambda kv: (-sum([dd[c] for dd, c in zip(depths, kv[0])]), -kv[1]),
+        found = segmented_autofocus(
+            lattices,
+            np.array([weight for _item, weight in items], dtype=np.float64),
+            np.zeros(len(items), dtype=np.int64),
+            np.array([threshold], dtype=np.float64),
+            self.max_ancestor_fanout,
+            self.max_combos_per_item,
         )
-        codes = np.array([combo for combo, _weight in ordered], dtype=np.intp)
-        explained: Dict[int, List[float]] = defaultdict(list)
-        reported: List[Cluster] = []
-        for i, (combo, weight) in enumerate(ordered):
-            residual = weight - sum(explained.pop(i, ()))
-            if residual < threshold:
-                continue
-            reported.append(
-                Cluster(
-                    nodes=tuple(dim.nodes[c] for dim, c in zip(dims, combo)),
-                    weight=weight,
-                    residual=residual,
-                )
+        return [
+            Cluster(
+                nodes=found.nodes(lattices, i),
+                weight=float(found.weight[i]),
+                residual=float(found.residual[i]),
             )
-            later = codes[i + 1 :]
-            mask = np.ones(len(later), dtype=bool)
-            for d, dim in enumerate(dims):
-                mask &= dim.containers(combo[d])[later[:, d]]
-            for j in np.flatnonzero(mask).tolist():
-                explained[i + 1 + j].append(residual)
-        reported.sort(key=lambda c: -c.residual)
-        return reported
-
-
-class _CodedDimension:
-    """One dimension of a :class:`MultiAutoFocus` run over node codes.
-
-    Pass 1 works on :data:`~repro.aggregation.hierarchy.NODE_CODES`;
-    the pruned significant nodes are then renumbered densely
-    (``index``), and passes 2 and 3 use those dense codes.
-    """
-
-    def __init__(self, leaves: Iterable[object]) -> None:
-        #: Per item, its leaf's ancestor chain as shared codes.
-        self.chains = [NODE_CODES.chain(leaf) for leaf in leaves]
-        self.index: Dict[int, int] = {}
-        self.nodes: List[object] = []
-        self.depths: List[int] = []
-        self._containers: Dict[int, np.ndarray] = {}
-
-    def prune(self, weights: Sequence[float], threshold: float) -> None:
-        """Pass 1: keep the significant nodes no significant child explains."""
-        node_weights: Dict[int, float] = defaultdict(float)
-        for chain, weight in zip(self.chains, weights):
-            for code in chain:
-                node_weights[code] += weight
-        depths = NODE_CODES.depths
-        significant = {
-            code: weight for code, weight in node_weights.items() if weight >= threshold
-        }
-        root = next(code for code in node_weights if depths[code] == 0)
-        significant.setdefault(root, node_weights[root])
-        child_max: Dict[int, float] = {}
-        for code, weight in significant.items():
-            parent = NODE_CODES.parents[code]
-            if parent in significant and weight > child_max.get(parent, 0.0):
-                child_max[parent] = weight
-        for code, weight in significant.items():
-            if depths[code] == 0 or weight > child_max.get(code, 0.0):
-                self.index[code] = len(self.nodes)
-                self.nodes.append(NODE_CODES.nodes[code])
-                self.depths.append(depths[code])
-
-    def options(self, fanout: int) -> List[List[int]]:
-        """Per item, the dense codes of its pruned ancestors, most specific
-        first, capped at ``fanout``."""
-        index = self.index
-        memo: Dict[Tuple[int, ...], List[int]] = {}
-        options = []
-        for chain in self.chains:
-            kept = memo.get(chain)
-            if kept is None:
-                kept = memo[chain] = [index[c] for c in chain if c in index][:fanout]
-            options.append(kept)
-        return options
-
-    def containers(self, code: int) -> np.ndarray:
-        """Mask over dense codes: the pruned nodes containing node ``code``."""
-        mask = self._containers.get(code)
-        if mask is None:
-            node = self.nodes[code]
-            mask = np.array([other.contains_node(node) for other in self.nodes])
-            self._containers[code] = mask
-        return mask
+            for i in range(len(found.weight))
+        ]

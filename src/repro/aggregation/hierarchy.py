@@ -18,7 +18,8 @@ it is working on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
 from repro.errors import AggregationError
 from repro.nfv.packet import ip_to_str
@@ -270,61 +271,17 @@ class BinaryPortNode:
         return f"{self.lo}-{self.hi}"
 
 
-_ANCESTOR_CACHE: dict = {}
-
-
+@lru_cache(maxsize=1 << 12)
 def ancestors(node) -> Tuple[object, ...]:
     """The node itself plus all generalisations up to the dimension root.
 
-    Results are memoised: aggregation walks the same chains millions of
-    times, and node construction dominates otherwise.
+    Memoised in a bounded cache: callers walk the same chains many times
+    in a row, and node construction dominates otherwise; a long-lived
+    process seeing ever new leaves keeps at most the latest 4,096 chains.
     """
-    cached = _ANCESTOR_CACHE.get(node)
-    if cached is not None:
-        return cached
     chain: List[object] = [node]
     current = node.parent()
     while current is not None:
         chain.append(current)
         current = current.parent()
-    result = tuple(chain)
-    _ANCESTOR_CACHE[node] = result
-    return result
-
-
-class NodeCodes:
-    """Process-wide int codes for hierarchy nodes, one per distinct node.
-
-    ``chain(leaf)`` is :func:`ancestors` as codes, memoised the same way;
-    ``nodes``, ``depths`` and ``parents`` (``-1`` for a root) are indexed
-    by code.  Aggregation then hashes each leaf once per item instead of
-    every ancestor, and works on int-keyed tables.
-    """
-
-    def __init__(self) -> None:
-        self.nodes: List[object] = []
-        self.depths: List[int] = []
-        self.parents: List[int] = []
-        self._code_of: dict = {}
-        self._chains: dict = {}
-
-    def chain(self, leaf) -> Tuple[int, ...]:
-        cached = self._chains.get(leaf)
-        if cached is not None:
-            return cached
-        codes: List[int] = []
-        for node in reversed(ancestors(leaf)):
-            code = self._code_of.get(node)
-            if code is None:
-                code = self._code_of[node] = len(self.nodes)
-                self.nodes.append(node)
-                self.depths.append(node.depth)
-                self.parents.append(codes[-1] if codes else -1)
-            codes.append(code)
-        result = tuple(reversed(codes))
-        self._chains[leaf] = result
-        return result
-
-
-#: The codes every aggregation run shares.
-NODE_CODES = NodeCodes()
+    return tuple(chain)

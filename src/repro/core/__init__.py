@@ -32,6 +32,7 @@ from repro.core.records import (
 from repro.core.streaming import ChunkResult, StreamingConfig, StreamingDiagnosis
 from repro.core.report import (
     CausalRelation,
+    RelationColumns,
     causal_relations,
     format_ranking,
     rank_of_entity,
@@ -57,6 +58,7 @@ __all__ = [
     "PathAttribution",
     "QueuingAnalyzer",
     "QueuingPeriod",
+    "RelationColumns",
     "StreamingConfig",
     "StreamingDiagnosis",
     "Victim",

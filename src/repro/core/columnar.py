@@ -315,10 +315,11 @@ class TraceColumns:
         self._pid_sorted = pkt_pid[self._pid_order]
         self._first_pos: Dict[int, object] = {}
         self._flows: Dict[Tuple[int, ...], FiveTuple] = {}
-        # Per packet row, a code per distinct ``pkt_flow`` row, and each
-        # code's FiveTuple; built on the first ``flow_counts`` and, like
-        # ``_flows``, a lookup cache that is never pickled.
+        # Per packet row, a code per distinct ``pkt_flow`` row, the
+        # distinct rows, and each code's FiveTuple; built on first use and,
+        # like ``_flows``, lookup caches that are never pickled.
         self._flow_code = None
+        self._flow_keys = None
         self._code_flows: List[FiveTuple] = []
         # Lexicographic (value, pid) pairs are packed into one int64 for
         # vectorized prefix mins; fall back to object tuples when the
@@ -435,17 +436,25 @@ class TraceColumns:
         row = int(self.rows_for_pids([pid])[0])
         return None if row < 0 else self.flow(tuple(self.pkt_flow[row].tolist()))
 
+    def flow_codes(self):
+        """``(code, keys)``: per packet row a code per distinct ``pkt_flow``
+        row, and the distinct rows (``keys[code]`` is a row's five fields)."""
+        if self._flow_code is None:
+            keys, code = np.unique(self.pkt_flow, axis=0, return_inverse=True)
+            self._flow_code = code.reshape(-1)
+            self._flow_keys = keys
+        return self._flow_code, self._flow_keys
+
     def flow_counts(self, pids: Sequence[int]) -> Dict[FiveTuple, int]:
         """Packets per flow among the ``pids`` the trace holds, keyed in
         first-occurrence order (what counting ``packet.flow`` over the
         pids in order gives)."""
-        if self._flow_code is None:
-            keys, code = np.unique(self.pkt_flow, axis=0, return_inverse=True)
-            self._flow_code = code.reshape(-1)
+        flow_code, keys = self.flow_codes()
+        if not self._code_flows:
             self._code_flows = [self.flow(tuple(key)) for key in keys.tolist()]
         rows = self.rows_for_pids(pids)
         codes, first, counts = np.unique(
-            self._flow_code[rows[rows >= 0]], return_index=True, return_counts=True
+            flow_code[rows[rows >= 0]], return_index=True, return_counts=True
         )
         order = np.argsort(first)
         flows = self._code_flows

@@ -13,6 +13,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.baselines.netmedic import NetMedic, NetMedicConfig
 from repro.core.diagnosis import MicroscopeEngine
 from repro.core.records import ColumnarNFView, DiagTrace
@@ -45,6 +47,7 @@ from repro.traffic.allocators import IpidSpace, PidAllocator
 from repro.traffic.bursts import BurstSpec, inject_bursts
 from repro.traffic.caida import CaidaLikeTraffic
 from repro.traffic.replay import constant_rate_flow, merge_schedules
+from repro.util.arrays import first_codes
 from repro.util.rng import substream
 from repro.util.stats import cdf_points, rate_series
 from repro.util.timebase import MSEC, USEC
@@ -557,6 +560,14 @@ def fig14_data(
 # Section 6.5 / Figure 15 / Tables 2-3: running in the wild.
 # ---------------------------------------------------------------------------
 
+def _sums_by_first_occurrence(keys, weights) -> Tuple[List[int], List[float]]:
+    """Distinct ``keys`` in first-occurrence order, each with its weights
+    summed in row order."""
+    code, first = first_codes(keys)
+    sums = np.bincount(code, weights=weights, minlength=len(first))
+    return keys[first].tolist(), sums.tolist()
+
+
 def wild_data(
     seed: int = 0,
     duration_ns: int = 200 * MSEC,
@@ -574,17 +585,26 @@ def wild_data(
     nf_types = dict(run.trace.nf_types)
     type_of = lambda loc: nf_types.get(loc, "source")
 
+    # Relation columns: per-row culprit and victim types as codes.  Sums
+    # run in relation order (``bincount``, ``cumsum``), and keys come out
+    # in first-occurrence order, as the per-relation dict loops had them.
+    types = [type_of(name) for name in relations.locations]
+    type_names = list(dict.fromkeys(types))
+    type_code = np.array([type_names.index(t) for t in types], dtype=np.int64)
+    culprit_types = type_code[relations.culprit_location]
+    victim_types = type_code[relations.victim_location]
+    score = relations.score
+
     # Table 2: culprit type x victim type, weighted by relation score.
-    matrix: Dict[Tuple[str, str], float] = defaultdict(float)
-    total_score = 0.0
-    for relation in relations:
-        culprit_type = type_of(relation.culprit_location)
-        victim_type = type_of(relation.victim_location)
-        matrix[(culprit_type, victim_type)] += relation.score
-        total_score += relation.score
+    pairs, sums = _sums_by_first_occurrence(
+        culprit_types * len(type_names) + victim_types, score
+    )
+    total_score = float(np.cumsum(score)[-1]) if len(score) else 0.0
     table2 = {
-        key: (score / total_score if total_score else 0.0)
-        for key, score in matrix.items()
+        (type_names[pair // len(type_names)], type_names[pair % len(type_names)]): (
+            value / total_score if total_score else 0.0
+        )
+        for pair, value in zip(pairs, sums)
     }
 
     # Propagation shares: culprit and victim at different NFs.
@@ -605,13 +625,15 @@ def wild_data(
             two_hop += share
 
     # Table 3: per-NAT-instance culprit frequency.
-    nat_rows: Dict[str, Dict[str, float]] = defaultdict(lambda: defaultdict(float))
-    for relation in relations:
-        if type_of(relation.culprit_location) == "nat":
-            victim_type = type_of(relation.victim_location)
-            nat_rows[relation.culprit_location][victim_type] += (
-                relation.score / total_score if total_score else 0.0
-            )
+    nat = np.array([t == "nat" for t in types], dtype=bool)[relations.culprit_location]
+    shares = score[nat] / total_score if total_score else np.zeros(int(nat.sum()))
+    pairs, sums = _sums_by_first_occurrence(
+        relations.culprit_location[nat] * len(type_names) + victim_types[nat], shares
+    )
+    nat_rows: Dict[str, Dict[str, float]] = defaultdict(dict)
+    for pair, value in zip(pairs, sums):
+        location = relations.locations[pair // len(type_names)]
+        nat_rows[location][type_names[pair % len(type_names)]] = value
     # Traffic split per NAT for the evenness claim.
     nat_traffic = Counter()
     for packet in run.trace.packets.values():
@@ -619,7 +641,7 @@ def wild_data(
             if nf_types.get(hop.nf) == "nat":
                 nat_traffic[hop.nf] += 1
 
-    gaps_ms = [relation.gap_ns / MSEC for relation in relations]
+    gaps_ms = (relations.gap_ns / MSEC).tolist()
     return {
         "table2": dict(table2),
         "cross_nf_share": cross_nf,

@@ -3,7 +3,7 @@
 ``repro.core`` has one diagnosis path: numpy index, columnar trace; a
 trace is stored as columns only; the live merge has one clocked drain;
 reconstruction verifies matchings in blocks and walks chains into
-columns, and AutoFocus runs on int codes;
+columns; relations are columns and AutoFocus runs over all groups at once;
 a dump decodes into batch columns and flows are counted over int codes.
 The straightforward code the production paths were optimised from lives
 here, moved without algorithmic edits, so tests can assert equality
@@ -29,7 +29,16 @@ against it:
   ``chain_back_reference``; ``chaining_through`` swaps them in),
 * :mod:`tests.oracles.autofocus` — the node-object passes of
   ``MultiAutoFocus.run`` (``OracleMultiAutoFocus``;
-  ``aggregating_through`` swaps it into ``PatternAggregator``),
+  ``aggregating_through`` swaps the per-group aggregator below into
+  ``PatternAggregator``),
+* :mod:`tests.oracles.patterns` — the per-group ``aggregate`` and
+  ``aggregate_single_pass``: dict regrouping and one AutoFocus run per
+  culprit group and per victim aggregate (``OraclePatternAggregator``),
+* :mod:`tests.oracles.report` — the per-culprit dataclass
+  ``causal_relations``,
+* :mod:`tests.oracles.sums` — the builtin ``sum``'s plain (up to Python
+  3.11) and compensated (CPython 3.12 on) float rules, transcribed;
+  ``summing_as`` runs the aggregation and its references under either,
 * :mod:`tests.oracles.collector` — the per-record decoders and loader
   (one ``BatchRecord`` per batch, one ``FiveTuple`` per record) and the
   reconstructor's record-by-record stream flattening and tolerant-mode

@@ -6,7 +6,8 @@ node objects, and pass 3 tests every candidate against every reported
 cluster with ``Cluster.contains``.  Moved here unedited as
 :class:`OracleMultiAutoFocus` (a ``MultiAutoFocus`` subclass);
 :func:`aggregating_through` makes every ``PatternAggregator`` inside the
-block aggregate with it.  The production run must return the same
+block aggregate with the per-group reference of
+``tests/oracles/patterns.py``, which runs it.  The production run must return the same
 clusters, in the same order, with ``weight`` and ``residual`` equal by
 ``float.hex`` (``tests/aggregation/test_autofocus_parity.py``).
 """
@@ -135,8 +136,18 @@ class OracleMultiAutoFocus(MultiAutoFocus):
 
 
 @contextmanager
-def aggregating_through(autofocus_class=OracleMultiAutoFocus) -> Iterator[None]:
-    """Inside the block every ``PatternAggregator`` runs its AutoFocus
-    passes with ``autofocus_class``."""
-    with mock.patch.object(patterns_mod, "MultiAutoFocus", autofocus_class):
+def aggregating_through() -> Iterator[None]:
+    """Inside the block every ``PatternAggregator`` aggregates with the
+    per-group reference (``tests.oracles.patterns``), whose AutoFocus is
+    :class:`OracleMultiAutoFocus`."""
+    from tests.oracles.patterns import OraclePatternAggregator
+
+    with mock.patch.multiple(
+        patterns_mod.PatternAggregator,
+        aggregate=OraclePatternAggregator.aggregate,
+        aggregate_single_pass=OraclePatternAggregator.aggregate_single_pass,
+        _victim_autofocus=OraclePatternAggregator._victim_autofocus,
+        _culprit_autofocus=OraclePatternAggregator._culprit_autofocus,
+        create=True,
+    ):
         yield
