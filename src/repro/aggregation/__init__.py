@@ -1,11 +1,6 @@
 """Causal-pattern aggregation: hierarchies, AutoFocus, two-phase pipeline."""
 
-from repro.aggregation.autofocus import (
-    Cluster,
-    MultiAutoFocus,
-    compress_unidimensional,
-    unidimensional_clusters,
-)
+from repro.aggregation.autofocus import Cluster, MultiAutoFocus
 from repro.aggregation.hierarchy import (
     BinaryPortNode,
     LocationNode,
@@ -44,7 +39,5 @@ __all__ = [
     "PrefixNode",
     "ProtoNode",
     "ancestors",
-    "compress_unidimensional",
     "tally_from_payload",
-    "unidimensional_clusters",
 ]

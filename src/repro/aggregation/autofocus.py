@@ -1,18 +1,14 @@
-"""AutoFocus-style hierarchical heavy hitters, uni- and multi-dimensional.
+"""AutoFocus-style multidimensional hierarchical heavy hitters.
 
 Follows Estan, Savage & Varghese, "Automatically inferring patterns of
 resource consumption in network traffic" (SIGCOMM 2003), which the paper
-adapts for causal-pattern aggregation:
-
-* **Unidimensional**: aggregate leaf weights up each hierarchy; a node is a
-  *cluster* when its subtree weight reaches the threshold; *compression*
-  reports only nodes whose weight is not already explained by reported
-  descendants (residual >= threshold).
-* **Multidimensional**: candidate clusters are combinations of per-
-  dimension unidimensional clusters; true weights are accumulated by
-  walking, for each item, the cross product of its per-dimension cluster
-  ancestors; compression then works on the specificity-ordered candidate
-  list with the same residual rule.
+adapts for causal-pattern aggregation.  Per dimension, leaf weights add
+up each hierarchy, and a node is a *cluster* when its subtree weight
+reaches the threshold.  Candidates are combinations of per-dimension
+clusters, their true weights accumulated by walking, for each item, the
+cross product of its per-dimension cluster ancestors.  *Compression*
+then reports, most specific first, only the candidates whose weight is
+not already explained by reported descendants (residual >= threshold).
 
 The multidimensional passes run on arrays, for many independent groups
 of items at once (:func:`segmented_autofocus`), each group with its own
@@ -21,26 +17,24 @@ its ancestor at every depth.  Pass 1 numbers each group's nodes from one
 sort of the rows and sums their weights with ``bincount``; pass 2
 enumerates every item's option cross product as mixed-radix digits, in
 ``itertools.product`` order; pass 3 compresses in rounds, one reported
-cluster per group per round.  Every float is summed in the order the
-object code summed it — node and combo weights in item order, each
+cluster per group per round.  Every float is plain addition in the order
+the object code adds it — node and combo weights in item order, each
 candidate's explained weight over the containing clusters' residuals in
-report order, by the builtin ``sum``'s rule (compensated from CPython
-3.12) — and ties sort by first occurrence, so clusters are bit-identical
-to the object reference in ``tests/oracles/autofocus.py``.
+report order — and ties sort by first occurrence, so clusters are
+bit-identical to the object reference in ``tests/oracles/autofocus.py``
+on any interpreter.
 Node objects are built only for the reported clusters.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.aggregation.hierarchy import ancestors
 from repro.errors import AggregationError
-from repro.util.arrays import add_in_order, running_sums
+from repro.util.arrays import sum_in_order
 
 
 @dataclass(frozen=True)
@@ -63,51 +57,6 @@ class Cluster:
 
     def __str__(self) -> str:
         return " ".join(str(node) for node in self.nodes)
-
-
-def unidimensional_clusters(
-    leaf_weights: Dict[Hashable, float],
-    to_leaf_node: Callable[[Hashable], object],
-    threshold: float,
-) -> Dict[object, float]:
-    """All hierarchy nodes whose subtree weight reaches ``threshold``.
-
-    The dimension root is always included so multidimensional candidates
-    can fall back to "any" on dimensions without concentrated weight.
-    """
-    if threshold <= 0:
-        raise AggregationError(f"threshold must be positive, got {threshold}")
-    node_weights: Dict[object, float] = defaultdict(float)
-    root = None
-    for leaf, weight in leaf_weights.items():
-        for node in ancestors(to_leaf_node(leaf)):
-            node_weights[node] += weight
-            root = node  # last ancestor is the root
-    significant = {
-        node: weight for node, weight in node_weights.items() if weight >= threshold
-    }
-    if root is not None:
-        significant.setdefault(root, node_weights[root])
-    return significant
-
-
-def compress_unidimensional(
-    significant: Dict[object, float], threshold: float
-) -> List[Tuple[object, float, float]]:
-    """Residual compression: (node, weight, residual) kept when residual
-    reaches the threshold.  Most-specific nodes are processed first."""
-    ordered = sorted(significant.items(), key=lambda kv: -kv[0].depth)
-    reported: List[Tuple[object, float, float]] = []
-    for node, weight in ordered:
-        explained = sum(
-            residual
-            for other, _w, residual in reported
-            if node.contains_node(other)
-        )
-        residual = weight - explained
-        if residual >= threshold:
-            reported.append((node, weight, residual))
-    return reported
 
 
 class Lattice:
@@ -457,21 +406,19 @@ def _compress(
     residual to the explained weight of the group's later candidates
     containing it — those whose node on every dimension is one of the
     reported node's ancestors, marked in a per-dimension table.  Explained
-    weights add up as the builtin ``sum`` over the containing clusters in
-    report order would (:func:`~repro.util.arrays.add_in_order`).  Returns
-    the reported candidates, in report order per group, and their
-    residuals.
+    weights add up in report order.  Returns the reported candidates, in
+    report order per group, and their residuals.
     """
     index = np.arange(len(weight))
     floor = thresholds[group]
-    explained, error = np.zeros(len(weight)), np.zeros(len(weight))
+    explained = np.zeros(len(weight))
     columns = [nodes[:, d] for d in range(len(dims))]
     marks = [np.zeros(len(dim.level), dtype=bool) for dim in dims]
     slot_of = np.full(len(thresholds), -1, dtype=np.int64)
     picked: List[np.ndarray] = []
     residuals: List[np.ndarray] = []
     while len(index):
-        residual = weight - running_sums(explained, error)
+        residual = weight - explained
         ok = np.flatnonzero(residual >= floor)
         if not len(ok):
             break
@@ -485,8 +432,8 @@ def _compress(
         slot_of[group[heads]] = -1
         keep = slot >= 0
         keep[keep] = np.arange(len(index))[keep] > heads[slot[keep]]
-        index, weight, floor, group, explained, error, slot = (
-            a[keep] for a in (index, weight, floor, group, explained, error, slot)
+        index, weight, floor, group, explained, slot = (
+            a[keep] for a in (index, weight, floor, group, explained, slot)
         )
         columns = [column[keep] for column in columns]
         contained = np.ones(len(index), dtype=bool)
@@ -496,7 +443,7 @@ def _compress(
             mark[lineage] = True
             contained &= mark[column]
             mark[lineage] = False
-        add_in_order(explained, error, contained, residual[slot[contained]])
+        explained[contained] += residual[slot[contained]]
     if not picked:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
     return np.concatenate(picked), np.concatenate(residuals)
@@ -535,7 +482,7 @@ class MultiAutoFocus:
             )
         if not items:
             return []
-        total = sum(weight for _item, weight in items)
+        total = sum_in_order(weight for _item, weight in items)
         if total <= 0:
             return []
         if threshold is None:

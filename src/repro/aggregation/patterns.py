@@ -17,12 +17,11 @@ Relations arrive as :class:`~repro.core.report.RelationColumns` (a plain
 relation list is converted once).  Phase 1 runs every culprit group's
 AutoFocus in one :func:`~repro.aggregation.autofocus.segmented_autofocus`
 call, and phase 2 every victim aggregate's; the hierarchy keys of each
-dimension come from array shifts of the flow and location columns.  Sums
-are taken in relation order, the ones the per-group code took with the
-builtin ``sum`` by the builtin's own rule (:mod:`repro.util.arrays`), and
+dimension come from array shifts of the flow and location columns.  Every
+total is plain addition in relation order (:mod:`repro.util.arrays`) and
 groups are numbered by first occurrence, so the patterns equal those of
 the per-group dict code in ``tests/oracles/patterns.py``, float for
-float, on any interpreter.
+float, and do not depend on the interpreter.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from repro.aggregation.hierarchy import (
 from repro.core.report import CausalRelation, RelationColumns
 from repro.errors import AggregationError
 from repro.nfv.packet import FiveTuple
-from repro.util.arrays import first_codes, segment_sums
+from repro.util.arrays import first_codes, sum_in_order
 
 #: Wildcard five-tuple used when a relation has no culprit flow (pure
 #: local culprits with unknown packet identities).
@@ -166,7 +165,7 @@ class PatternAggregator:
         """
         started = time.perf_counter()
         rel = RelationColumns.of(relations)
-        grand_total = sum(rel.score.tolist())
+        grand_total = sum_in_order(rel.score.tolist())
         if grand_total <= 0:
             return AggregationResult(
                 patterns=[], n_relations=len(rel), n_intermediate=0, runtime_s=0.0
@@ -185,7 +184,7 @@ class PatternAggregator:
         rows, weight, group = pair_row[order], pair_weight[order], culprit[pair_row][order]
         n_groups = len(culprit_row)
         size = np.bincount(group, minlength=n_groups)
-        group_total = segment_sums(weight, size)
+        group_total = np.bincount(group, weights=weight, minlength=n_groups)
         # Sub-threshold culprits report against their own total (keeping
         # the most specific cluster); the rest against the global one.
         sub = (size > 1) & (group_total < threshold)
@@ -268,7 +267,7 @@ class PatternAggregator:
             rel.culprit_flow, rel.culprit_location, rel.victim_flow, rel.victim_location
         )
         weight = np.bincount(item, weights=rel.score)
-        total = sum(weight.tolist())
+        total = sum_in_order(weight.tolist())
         patterns: List[Pattern] = []
         if len(weight) and total > 0:
             threshold = total * self.threshold_fraction

@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.columnar import ColumnarPathDecomposition
 from repro.core.records import DiagTrace
 from repro.errors import DiagnosisError
+from repro.util.arrays import sum_in_order
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,7 @@ def propagation_scores(
         contributions = attribute_reductions(spans)
         weight = k / total
         share = si * weight
-        total_contrib = sum(contributions)
+        total_contrib = sum_in_order(contributions)
         attributions.append(
             PathAttribution(
                 path=path,
@@ -164,7 +165,7 @@ def propagation_scores(
 
     # Safety scale-down: per-path weighting keeps the sum at or below si,
     # but guard against float drift (and future attribution variants).
-    grand_total = sum(merged_scores.values())
+    grand_total = sum_in_order(merged_scores.values())
     scale = 1.0
     if grand_total > si > 0:
         scale = si / grand_total

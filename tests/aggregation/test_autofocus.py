@@ -1,59 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.aggregation.autofocus import (
-    MultiAutoFocus,
-    compress_unidimensional,
-    unidimensional_clusters,
-)
+from repro.aggregation.autofocus import MultiAutoFocus
 from repro.aggregation.hierarchy import PortNode, PrefixNode
 from repro.errors import AggregationError
 from repro.nfv.packet import ip_from_str
-
-
-class TestUnidimensional:
-    def test_clusters_aggregate_up(self):
-        weights = {
-            ip_from_str("10.0.0.2"): 40.0,
-            ip_from_str("10.0.0.3"): 40.0,
-            ip_from_str("99.0.0.1"): 20.0,
-        }
-        clusters = unidimensional_clusters(weights, PrefixNode.leaf, threshold=50.0)
-        # /31 covering .2/.3 reaches 80.
-        assert PrefixNode(ip_from_str("10.0.0.2"), 31) in clusters
-        assert PrefixNode.leaf(ip_from_str("10.0.0.2")) not in clusters
-
-    def test_root_always_present(self):
-        clusters = unidimensional_clusters(
-            {ip_from_str("1.1.1.1"): 1.0}, PrefixNode.leaf, threshold=100.0
-        )
-        assert PrefixNode(0, 0) in clusters
-
-    def test_threshold_validation(self):
-        with pytest.raises(AggregationError):
-            unidimensional_clusters({}, PrefixNode.leaf, threshold=0.0)
-
-    def test_compression_reports_specific_only(self):
-        weights = {
-            ip_from_str("10.0.0.1"): 80.0,
-            ip_from_str("99.0.0.1"): 1.0,
-        }
-        clusters = unidimensional_clusters(weights, PrefixNode.leaf, threshold=40.0)
-        reported = compress_unidimensional(clusters, threshold=40.0)
-        nodes = [node for node, _w, _r in reported]
-        # Only the /32 leaf survives; every ancestor is explained by it.
-        assert nodes == [PrefixNode.leaf(ip_from_str("10.0.0.1"))]
-
-    def test_compression_keeps_diffuse_parent(self):
-        # 8 hosts x 15 each in a /29: no single host passes threshold 40;
-        # the most specific passing aggregates are the two /30s (60 each),
-        # and the /29 (120) is then fully explained by them.
-        base = ip_from_str("10.0.0.0")
-        weights = {base + i: 15.0 for i in range(8)}
-        clusters = unidimensional_clusters(weights, PrefixNode.leaf, threshold=40.0)
-        reported = compress_unidimensional(clusters, threshold=40.0)
-        lengths = sorted(node.length for node, _w, _r in reported)
-        assert lengths == [30, 30]
 
 
 def port_items(pairs):

@@ -8,11 +8,12 @@ equal those of the per-group dict code in ``tests/oracles/patterns.py``
 sub-threshold and dispersed groups, repeated keys, static and adaptive
 ports), on the Fig. 14 fixture with adaptive ports, and on a
 twelve-dimension single pass whose per-dimension node counts multiply
-past 2**63.  Both hold whichever float rule the builtin ``sum`` has
-(plain, or compensated from CPython 3.12): group totals and explained
-weights are summed by the running interpreter's rule, and both rules are
-exercised here through ``tests.oracles.sums.summing_as``, also on nested
-clusters whose residuals differ between them.  Wall-clock-free guards
+past 2**63.  Both sides sum every float total in order, so their output
+does not depend on the float rule the builtin ``sum`` has (plain, or
+compensated from CPython 3.12): ``tests.oracles.sums.summing_as``
+emulates either, and patterns and clusters must be the same under both,
+also on sub-threshold group totals and nested clusters where a
+compensated total would differ.  Wall-clock-free guards
 pin the cost: a constant number of dimension setups per ``aggregate``,
 no ``itertools.product``, and no memory kept across calls.
 """
@@ -38,9 +39,11 @@ from tests.aggregation.test_autofocus_parity import (  # noqa: F401
     fig14_relations,
     postmortem_relations,
 )
+from tests.oracles import autofocus as oracle_autofocus
+from tests.oracles import patterns as oracle_patterns
 from tests.oracles.autofocus import OracleMultiAutoFocus
 from tests.oracles.patterns import OraclePatternAggregator
-from tests.oracles.sums import summing_as
+from tests.oracles.sums import neumaier_sum, summing_as
 
 NF_TYPES = {"nat1": "nat", "nat2": "nat", "fw1": "firewall", "vpn1": "vpn"}
 LOCATIONS = sorted(NF_TYPES) + ["src-a"]
@@ -173,10 +176,10 @@ class TestBuiltinSumRule:
     @pytest.mark.parametrize("seed", [8, 9, 10])
     def test_sub_threshold_group_totals(self, seed):
         """Two culprits below the threshold, four victims each, merged in
-        phase 2: their intermediates carry the builtin ``sum`` of four
-        non-dyadic scores, which differs between the two rules, and so
-        does the merged pattern's score.  Under each rule the patterns
-        equal the reference."""
+        phase 2: their intermediates carry the total of four non-dyadic
+        scores, which a compensated sum gives differently (the reference
+        summing so disagrees).  Under either builtin rule the patterns are
+        the same and equal the reference."""
         rng = generator(seed)
         victims = [FiveTuple.of(f"100.0.{i}.1", "32.0.0.1", 2_000 + i, 80) for i in range(4)]
         relations = [
@@ -193,15 +196,19 @@ class TestBuiltinSumRule:
         for compensated in (False, True):
             with summing_as(compensated):
                 outputs.append(patterns_of(assert_same(relations, threshold_fraction=0.3)))
-        assert outputs[0] != outputs[1]
+        assert outputs[0] == outputs[1]
+        with mock.patch.object(oracle_patterns, "plain_sum", neumaier_sum):
+            summed = OraclePatternAggregator(NF_TYPES, threshold_fraction=0.3)
+            assert patterns_of(summed.aggregate(relations)) != outputs[0]
 
     @pytest.mark.parametrize("seed", [356, 360, 378])
     def test_nested_clusters(self, seed):
         """A few heavy addresses, each a reported cluster, and many light
         ones only broad prefixes collect: a broad cluster's explained
-        weight sums three or more non-dyadic residuals, and the clusters
-        whose residuals differ between the two rules are such sums.  Under
-        each rule, ``run`` equals the reference."""
+        weight sums three or more non-dyadic residuals, which a
+        compensated sum gives differently (the reference summing so
+        disagrees).  Under either builtin rule, ``run`` returns the same
+        clusters and equals the reference."""
         rng = generator(seed)
         k = int(rng.integers(4, 9))
         ips = [int(rng.integers(1, 250)) << 24 | int(rng.integers(1 << 24)) for _ in range(k)]
@@ -212,22 +219,24 @@ class TestBuiltinSumRule:
         weights += [float(rng.uniform(0.01, 0.2) * threshold) for _ in range(m)]
         items = list(zip(ips, weights))
         config = dict(to_leaf_nodes=lambda ip: (PrefixNode.leaf(ip),))
+
+        def clusters_of(out):
+            return [(str(c), c.weight.hex(), c.residual.hex()) for c in out]
+
         outputs = []
         for compensated in (False, True):
             with summing_as(compensated):
-                ours = MultiAutoFocus(**config).run(items, threshold=threshold)
+                ours = clusters_of(MultiAutoFocus(**config).run(items, threshold=threshold))
                 theirs = OracleMultiAutoFocus(**config).run(items, threshold=threshold)
-            clusters = [(str(c), c.weight.hex(), c.residual.hex()) for c in ours]
-            assert clusters == [(str(c), c.weight.hex(), c.residual.hex()) for c in theirs]
+            assert ours == clusters_of(theirs)
             outputs.append(ours)
-        plain, compensated = ({str(c): c for c in out} for out in outputs)
-        differ = [
-            c for name, c in compensated.items()
-            if name not in plain or plain[name].residual != c.residual
-        ]
-        assert differ
+        assert outputs[0] == outputs[1]
+        with mock.patch.object(oracle_autofocus, "plain_sum", neumaier_sum):
+            summed = OracleMultiAutoFocus(**config).run(items, threshold=threshold)
+        assert clusters_of(summed) != outputs[0]
+        differ = [c for c in summed if clusters_of([c])[0] not in outputs[0]]
         for cluster in differ:
-            nested = [c for c in outputs[1] if c is not cluster and cluster.contains(c)]
+            nested = [c for c in summed if c is not cluster and cluster.contains(c)]
             assert len(nested) >= 3
 
 

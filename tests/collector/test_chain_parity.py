@@ -283,6 +283,8 @@ def planted_runs(draw):
     )
     fresh = iter(ipids[n:])
     for kind, j in sorted(plants, key=lambda plant: -plant[1]):
+        if j >= len(merged):  # a "lost-read" at the same last position removed it
+            continue
         read = merged[j]
         item = read[2]
         if kind == "rival" and item is not None and n_streams > 1:

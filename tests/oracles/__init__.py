@@ -37,8 +37,10 @@ against it:
 * :mod:`tests.oracles.report` — the per-culprit dataclass
   ``causal_relations``,
 * :mod:`tests.oracles.sums` — the builtin ``sum``'s plain (up to Python
-  3.11) and compensated (CPython 3.12 on) float rules, transcribed;
-  ``summing_as`` runs the aggregation and its references under either,
+  3.11) and compensated (CPython 3.12 on) float rules, transcribed; the
+  references above take their float totals with ``plain_sum``, the rule
+  ``src/`` sums by, and ``summing_as`` swaps the builtin for either rule
+  so tests can check that no output depends on it,
 * :mod:`tests.oracles.collector` — the per-record decoders and loader
   (one ``BatchRecord`` per batch, one ``FiveTuple`` per record) and the
   reconstructor's record-by-record stream flattening and tolerant-mode

@@ -9,7 +9,9 @@ cluster with ``Cluster.contains``.  Moved here unedited as
 block aggregate with the per-group reference of
 ``tests/oracles/patterns.py``, which runs it.  The production run must return the same
 clusters, in the same order, with ``weight`` and ``residual`` equal by
-``float.hex`` (``tests/aggregation/test_autofocus_parity.py``).
+``float.hex`` (``tests/aggregation/test_autofocus_parity.py``).  Its float
+totals are :func:`~tests.oracles.sums.plain_sum`, in order, whatever the
+interpreter's builtin ``sum`` does.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.aggregation import patterns as patterns_mod
 from repro.aggregation.autofocus import Cluster, MultiAutoFocus
 from repro.aggregation.hierarchy import ancestors
 from repro.errors import AggregationError
+from tests.oracles.sums import plain_sum
 
 
 class OracleMultiAutoFocus(MultiAutoFocus):
@@ -41,7 +44,7 @@ class OracleMultiAutoFocus(MultiAutoFocus):
             )
         if not items:
             return []
-        total = sum(weight for _item, weight in items)
+        total = plain_sum(weight for _item, weight in items)
         if total <= 0:
             return []
         if threshold is None:
@@ -123,7 +126,7 @@ class OracleMultiAutoFocus(MultiAutoFocus):
         reported: List[Cluster] = []
         for combo, weight in ordered:
             probe = Cluster(nodes=combo, weight=weight, residual=0.0)
-            explained = sum(
+            explained = plain_sum(
                 cluster.residual for cluster in reported if probe.contains(cluster)
             )
             residual = weight - explained

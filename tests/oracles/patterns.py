@@ -9,7 +9,9 @@ call, then each victim aggregate by another.  Moved here unedited as
 ``tests.oracles.autofocus.OracleMultiAutoFocus``.  The production
 aggregator must return the same patterns — strings, order, ``score`` by
 ``float.hex`` — and the same ``n_intermediate``
-(``tests/aggregation/test_patterns_parity.py``).
+(``tests/aggregation/test_patterns_parity.py``).  Its float totals are
+:func:`~tests.oracles.sums.plain_sum`, in order, whatever the
+interpreter's builtin ``sum`` does.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.aggregation.patterns import (
 from repro.core.report import CausalRelation
 from repro.nfv.packet import FiveTuple
 from tests.oracles.autofocus import OracleMultiAutoFocus as MultiAutoFocus
+from tests.oracles.sums import plain_sum
 
 
 def _location_leaf(location: str, nf_types: Dict[str, str]) -> LocationNode:
@@ -79,7 +82,7 @@ class OraclePatternAggregator(PatternAggregator):
         where aggregation across culprits can still surface them.
         """
         started = time.perf_counter()
-        grand_total = sum(r.score for r in relations)
+        grand_total = plain_sum(r.score for r in relations)
         if grand_total <= 0:
             return AggregationResult(
                 patterns=[], n_relations=len(relations), n_intermediate=0, runtime_s=0.0
@@ -99,7 +102,7 @@ class OraclePatternAggregator(PatternAggregator):
         # Intermediates: (culprit key, victim aggregate node tuple, score).
         intermediates: List[Tuple[Tuple, Tuple, float]] = []
         for culprit_key, victim_weights in by_culprit.items():
-            group_total = sum(victim_weights.values())
+            group_total = plain_sum(victim_weights.values())
             if len(victim_weights) == 1:
                 (victim_flow, victim_location), score = next(
                     iter(victim_weights.items())

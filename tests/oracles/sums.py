@@ -2,18 +2,24 @@
 
 CPython up to 3.11 adds floats left to right; from 3.12 it adds them with
 Neumaier compensation.  :func:`plain_sum` and :func:`neumaier_sum` are the
-two loops in Python; :func:`summing_as` makes the aggregation modules and
-their references in this package sum by one of them, so both rules are
-tested whichever one the running interpreter has.
+two loops in Python.  ``src/`` sums every float total that reaches an
+output in order, and the references here call :func:`plain_sum`, so
+neither depends on the builtin.  :func:`summing_as` swaps the builtin
+itself for one of the rules, emulating "this interpreter's ``sum``", so
+tests can check that outputs are the same whichever rule it has.
 """
 
 from __future__ import annotations
 
 import builtins
 import math
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from typing import Iterator
 from unittest import mock
+
+#: The interpreter's own ``sum``, kept for :func:`neumaier_sum`'s non-float
+#: fallback while :func:`summing_as` has replaced the builtin.
+_builtin_sum = builtins.sum
 
 
 def plain_sum(values, start=0):
@@ -31,7 +37,7 @@ def neumaier_sum(values, start=0):
     if start != 0 or type(start) is not int or not values or not all(
         type(value) is float for value in values
     ):
-        return builtins.sum(values, start)
+        return _builtin_sum(values, start)
     total = 0 + values[0]
     error = 0.0
     for value in values[1:]:
@@ -48,16 +54,7 @@ def neumaier_sum(values, start=0):
 
 @contextmanager
 def summing_as(compensated: bool) -> Iterator[None]:
-    """Inside the block the array passes and the per-group references
-    sum floats by one rule: compensated (CPython 3.12) or plain."""
-    from repro.aggregation import autofocus, patterns
-    from repro.util import arrays
-    from tests.oracles import autofocus as oracle_autofocus
-    from tests.oracles import patterns as oracle_patterns
-
-    rule = neumaier_sum if compensated else plain_sum
-    with ExitStack() as stack:
-        stack.enter_context(mock.patch.object(arrays, "COMPENSATED_SUM", compensated))
-        for module in (arrays, autofocus, patterns, oracle_autofocus, oracle_patterns):
-            stack.enter_context(mock.patch.object(module, "sum", rule, create=True))
+    """Inside the block the builtin ``sum`` adds floats by one rule:
+    compensated (CPython 3.12) or plain."""
+    with mock.patch.object(builtins, "sum", neumaier_sum if compensated else plain_sum):
         yield
