@@ -221,7 +221,6 @@ class _Dim:
         group: np.ndarray,
         thresholds: np.ndarray,
         first_rows: np.ndarray,
-        fanout: int,
     ) -> None:
         self.lattice = lattice
         ids, n_nodes = lattice.node_ids(group)
@@ -257,14 +256,13 @@ class _Dim:
         kept = significant & ((self.level == 0) | (weight > child_max))
         self.rank = np.cumsum(kept, dtype=np.int32) - 1
         self.n_kept = int(self.rank[-1]) + 1
-        # Options: per row, its kept ancestors, most specific first, capped
-        # at ``fanout``.
+        # Options: per row, its kept ancestors, most specific first; the
+        # last is the root.
         leaf_first = ids[:, ::-1]
         usable = kept[leaf_first] & (leaf_first >= 0)
         position = np.cumsum(usable, axis=1, dtype=np.int32)
-        usable &= position <= fanout
-        self.count = np.minimum(position[:, -1], max(fanout, 0)).astype(np.int64)
-        self.options = np.full((n, max(1, min(fanout, width))), -1, dtype=np.int32)
+        self.count = position[:, -1].astype(np.int64)
+        self.options = np.full((n, width), -1, dtype=np.int32)
         r, c = np.nonzero(usable)
         self.options[r, position[r, c] - 1] = leaf_first[r, c]
 
@@ -276,7 +274,7 @@ def _dense(key: np.ndarray) -> np.ndarray:
 def _trim(dims: List[_Dim], max_combos: int) -> np.ndarray:
     """Per row, option counts after the ``max_combos`` cap: while a row's
     cross product exceeds it, its longest dimension (the first, on ties)
-    keeps only its most specific and most general option.  Returns the
+    keeps only its most specific option and its root.  Returns the
     ``(rows, dims)`` counts."""
     counts = np.stack([dim.count for dim in dims], axis=1)
     # Float products: exact below 2**53, and above it far over any cap.
@@ -302,15 +300,13 @@ def segmented_autofocus(
     weights: np.ndarray,
     group: np.ndarray,
     thresholds: np.ndarray,
-    fanout: int,
     max_combos: int,
 ) -> Found:
     """Multidimensional AutoFocus over many groups of items at once.
 
     Rows are items, ordered by ``group`` (non-decreasing) and, within a
     group, in item order; group ``g`` reports against ``thresholds[g]``.
-    ``fanout`` and ``max_combos`` are ``MultiAutoFocus``'s
-    ``max_ancestor_fanout`` and ``max_combos_per_item``.  Each group's
+    ``max_combos`` is ``MultiAutoFocus.max_combos_per_item``.  Each group's
     clusters equal one ``MultiAutoFocus.run`` over its items with that
     threshold (same nodes, order, and floats).
     """
@@ -323,10 +319,7 @@ def segmented_autofocus(
         empty = np.zeros((0, n_dims), dtype=np.int64)
         return Found(group[:0], empty, empty, weights[:0], weights[:0])
     first_rows = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
-    dims = [
-        _Dim(lattice, weights, group, thresholds, first_rows, fanout)
-        for lattice in lattices
-    ]
+    dims = [_Dim(lattice, weights, group, thresholds, first_rows) for lattice in lattices]
 
     # Pass 2: true weights of candidate combinations.  Row ``i`` has
     # ``prod(counts[i])`` combos; combo ``t`` of a row takes its digits in
@@ -462,12 +455,12 @@ class MultiAutoFocus:
 
     to_leaf_nodes: Callable[[Hashable], Tuple[object, ...]]
     threshold_fraction: float = 0.01
-    max_ancestor_fanout: int = 8
     #: Per-item cap on the candidate cross product.  When an item's options
     #: multiply out beyond this, the longest dimensions are trimmed (keeping
     #: the most specific nodes plus the root), trading cluster granularity
-    #: for bounded runtime.  High-dimensional single-pass runs need this;
-    #: the decoupled pipeline practically never hits it.
+    #: for bounded runtime.  High-dimensional single-pass runs need this,
+    #: and it binds on the decoupled pipeline too: Fig. 14 reports 385
+    #: patterns with it and 389 without.
     max_combos_per_item: int = 4_096
 
     def run(
@@ -499,7 +492,6 @@ class MultiAutoFocus:
             np.array([weight for _item, weight in items], dtype=np.float64),
             np.zeros(len(items), dtype=np.int64),
             np.array([threshold], dtype=np.float64),
-            self.max_ancestor_fanout,
             self.max_combos_per_item,
         )
         return [

@@ -171,7 +171,6 @@ class PatternAggregator:
                 patterns=[], n_relations=len(rel), n_intermediate=0, runtime_s=0.0
             )
         threshold = grand_total * self.threshold_fraction
-        fanout = MultiAutoFocus.max_ancestor_fanout
         max_combos = MultiAutoFocus.max_combos_per_item
 
         # Phase 1: victim-side aggregation within each exact culprit.
@@ -196,7 +195,6 @@ class PatternAggregator:
             weight[on],
             group[on],
             np.where(sub, group_total, threshold),
-            fanout,
             max_combos,
         )
         inter_culprit, inter_depth, inter_key, inter_score = _intermediates(
@@ -223,7 +221,6 @@ class PatternAggregator:
             weight2[on],
             group2[on],
             np.full(len(aggregate_row), threshold),
-            fanout,
             max_combos,
         )
 
@@ -283,7 +280,6 @@ class PatternAggregator:
                 weight,
                 np.zeros(len(weight), dtype=np.int64),
                 np.array([threshold]),
-                MultiAutoFocus.max_ancestor_fanout,
                 MultiAutoFocus.max_combos_per_item,
             )
             for i in range(len(found.residual)):
@@ -342,9 +338,12 @@ def _intermediates(
     * a culprit with one victim passes that victim's leaves through;
     * a sub-threshold culprit keeps its most specific cluster (first on
       ties) with the whole group score, or passes its leaves through when
-      it has none;
-    * any other culprit keeps its clusters with their residuals, or the
-      root aggregate with the group score when it has none.
+      it has none (its total is zero);
+    * any other culprit keeps its clusters with their residuals.
+
+    A culprit run at a threshold its total reaches always has a cluster:
+    every item keeps its root on every dimension, so the all-root
+    combination weighs the group total.
     """
     n_groups = len(group_total)
     n_dims = len(victim_dims)
@@ -367,7 +366,6 @@ def _intermediates(
     big = np.flatnonzero(~in_sub)
 
     leaf_rows = np.flatnonzero((size[group] == 1) | (sub[group] & ~clustered[group]))
-    roots = np.flatnonzero((size > 1) & ~sub & ~clustered)
     parts = [
         (group[leaf_rows], np.arange(len(leaf_rows)), leaf_depth[leaf_rows],
          leaf_key[leaf_rows], weight[leaf_rows]),
@@ -375,9 +373,6 @@ def _intermediates(
          group_total[found.group[canon]]),
         (found.group[big], position[big], found.depth[big], found.key[big],
          found.residual[big]),
-        (roots, np.zeros(len(roots), dtype=np.int64),
-         np.zeros((len(roots), n_dims), dtype=np.int64),
-         np.zeros((len(roots), n_dims), dtype=np.int64), group_total[roots]),
     ]
     culprit = np.concatenate([p[0] for p in parts])
     order = np.lexsort((np.concatenate([p[1] for p in parts]), culprit))

@@ -93,17 +93,13 @@ class TestRunParity:
         fraction=st.sampled_from([0.01, 0.05, 0.3, 1.0]),
         absolute=st.none() | st.floats(0.5, 500.0),
         max_combos=st.sampled_from([4, 64, 4_096]),
-        fanout=st.sampled_from([2, 8, 40]),
     )
-    def test_same_clusters_bit_for_bit(
-        self, items, adaptive, fraction, absolute, max_combos, fanout
-    ):
+    def test_same_clusters_bit_for_bit(self, items, adaptive, fraction, absolute, max_combos):
         assert_same_run(
             dict(
                 to_leaf_nodes=leaf_nodes(adaptive),
                 threshold_fraction=fraction,
                 max_combos_per_item=max_combos,
-                max_ancestor_fanout=fanout,
             ),
             items,
             absolute,

@@ -8,8 +8,11 @@ equal those of the per-group dict code in ``tests/oracles/patterns.py``
 sub-threshold and dispersed groups, repeated keys, static and adaptive
 ports), on the Fig. 14 fixture with adaptive ports, and on a
 twelve-dimension single pass whose per-dimension node counts multiply
-past 2**63.  Both sides sum every float total in order, so their output
-does not depend on the float rule the builtin ``sum`` has (plain, or
+past 2**63.  On "caterpillar" victim groups, whose chains run deep on
+every dimension, every group whose total reaches its threshold reports a
+cluster of its own, whatever the combo cap.  Both sides sum every float
+total in order, so their output does not depend on the float rule the
+builtin ``sum`` has (plain, or
 compensated from CPython 3.12): ``tests.oracles.sums.summing_as``
 emulates either, and patterns and clusters must be the same under both,
 also on sub-threshold group totals and nested clusters where a
@@ -30,10 +33,11 @@ import pytest
 
 from repro.aggregation import autofocus
 from repro.aggregation.autofocus import Lattice, MultiAutoFocus
-from repro.aggregation.hierarchy import PrefixNode
-from repro.aggregation.patterns import PatternAggregator
+from repro.aggregation.hierarchy import LocationNode, PrefixNode
+from repro.aggregation.patterns import PatternAggregator, _flow_leaf_nodes
 from repro.core.report import CausalRelation, RelationColumns
 from repro.nfv.packet import FiveTuple
+from repro.util.arrays import sum_in_order
 from repro.util.rng import generator
 from tests.aggregation.test_autofocus_parity import (  # noqa: F401
     fig14_relations,
@@ -63,9 +67,10 @@ def assert_same(relations, nf_types=NF_TYPES, **kwargs):
 
 def caterpillar_group(culprit, ranks, weights):
     """Victims whose four deep dimensions (IPs, and ports when adaptive)
-    each put every victim on its own long chain: every victim loses the
-    root to the ancestor fan-out, so a group above the threshold can end
-    with no cluster at all and fall back to the root aggregate."""
+    each put every victim on its own long chain of one-bit values: a
+    victim's kept ancestors run from its leaf through every heavier
+    prefix up to the root, so a group above the threshold has a cluster
+    only because every item keeps its root on every dimension."""
     src, dst, src_port, dst_port = (
         [1 << (bits - 1 - r % bits) for r in perm]
         for perm, bits in zip(ranks, (32, 32, 16, 16))
@@ -138,7 +143,10 @@ class TestAggregateParity:
         ).aggregate(RelationColumns.of(relations))
         assert patterns_of(columns) == patterns_of(ours)
 
-    def test_dispersed_group_falls_back_to_root(self):
+    def test_dispersed_group_keeps_its_own_cluster(self):
+        """A 25-victim caterpillar group above the threshold is reported
+        through its own phase-1 clusters, not only inside the all-root
+        victim aggregate."""
         rng = generator(1)
         k = 25
         ranks = [rng.permutation(k).tolist() for _ in range(4)]
@@ -146,15 +154,70 @@ class TestAggregateParity:
         culprit = FiveTuple.of("203.0.0.1", "32.0.0.1", 4_000, 80)
         relations = caterpillar_group(culprit, ranks, weights)
         result = assert_same(relations, threshold_fraction=0.3, adaptive_ports=True)
+        assert {str(p.culprit) for p in result.patterns} == {
+            "203.0.0.1/32 32.0.0.1/32 6 4000 80"
+        }
         roots = [
             p for p in result.patterns
             if str(p.victim) == "* * * * *" and str(p.victim_location) == "*"
         ]
-        assert roots
+        assert not roots
 
     def test_fig14_adaptive_ports(self, fig14_relations):  # noqa: F811
         relations, nf_types = fig14_relations
         assert assert_same(relations, nf_types, adaptive_ports=True).patterns
+
+
+@st.composite
+def caterpillar_sets(draw):
+    """One to four caterpillar groups of 2 to 24 victims, one culprit each."""
+    groups = []
+    for g in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(2, 24))
+        ranks = [draw(st.permutations(range(k))) for _ in range(4)]
+        weights = draw(st.lists(st.floats(0.5, 1.5), min_size=k, max_size=k))
+        culprit = FiveTuple.of(f"203.0.0.{g + 1}", "32.0.0.1", 4_000, 80)
+        groups.append(caterpillar_group(culprit, ranks, weights))
+    return groups
+
+
+class TestEveryGroupClusters:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(
+        groups=caterpillar_sets(),
+        fraction=st.sampled_from([0.05, 0.3, 1.0]),
+        own=st.lists(st.booleans(), min_size=4, max_size=4),
+        adaptive=st.booleans(),
+        max_combos=st.sampled_from([4, 64, 4_096]),
+    )
+    def test_groups_reaching_the_threshold_report(
+        self, groups, fraction, own, adaptive, max_combos
+    ):
+        """Phase 1's victim AutoFocus over caterpillar groups, each against
+        the global threshold or its own total: every group whose total
+        reaches its threshold yields a cluster, and every cluster's
+        residual reaches its group's threshold."""
+        relations = [r for group in groups for r in group]
+        leaves = [
+            _flow_leaf_nodes(r.victim_flow, adaptive)
+            + (LocationNode.leaf(r.victim_location, NF_TYPES[r.victim_location]),)
+            for r in relations
+        ]
+        lattices = [Lattice.of_nodes([leaf[d] for leaf in leaves]) for d in range(6)]
+        group = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+        weights = np.array([r.score for r in relations])
+        total = np.bincount(group, weights=weights)
+        threshold = np.where(
+            own[: len(groups)], total, fraction * sum_in_order(weights.tolist())
+        )
+        found = autofocus.segmented_autofocus(lattices, weights, group, threshold, max_combos)
+        reaching = np.flatnonzero(total >= threshold)
+        assert set(reaching.tolist()) <= set(found.group.tolist())
+        assert (found.residual >= threshold[found.group]).all()
 
 
 class TestBuiltinSumRule:

@@ -96,7 +96,7 @@ class OracleMultiAutoFocus(MultiAutoFocus):
                     for node in ancestors(nodes[d])
                     if node in per_dim_significant[d]
                 ]
-                options.append(chain[: self.max_ancestor_fanout])
+                options.append(chain)
             combos = 1
             for chain in options:
                 combos *= max(1, len(chain))
